@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import FolnerlabError, UnsupportedCaseError
@@ -26,19 +25,8 @@ from .measures import (
     observable_family,
     rho_distance,
 )
-from .systems import (
-    GSystem,
-    SystemPoint,
-    circle_point,
-    interval_point,
-    metric,
-    pair_point,
-    shift_point,
-    torus_point,
-    union_point,
-)
+from .systems import GSystem, SystemPoint, metric, pair_point, space_of
 from .transport import assignment_min, orbit_cost_matrix, wasserstein_empirical
-from .words import FlippedWord, PeriodicWord, RandomWord, SplicedWord
 
 __all__ = [
     "PseudometricTrace",
@@ -335,59 +323,12 @@ def near_pair_sampler(
 ) -> Callable[[float, int], list[tuple[SystemPoint, SystemPoint]]]:
     """Seeded sampler producing pairs at distance strictly below delta."""
     rng = random.Random(seed)
-    kind = sys.space_kind
-
-    def dyadic() -> Fraction:
-        return Fraction(rng.getrandbits(48), 1 << 48)
+    space = space_of(sys)
 
     def sample(delta: float, count: int) -> list[tuple[SystemPoint, SystemPoint]]:
         if delta <= 0:
             raise ValueError("delta must be positive")
-        pairs = []
-        for _ in range(count):
-            if kind == "circle":
-                step = min(Fraction(delta), Fraction(1, 2))
-                x = dyadic()
-                offset = step * Fraction(rng.randint(-999, 999), 1000)
-                pairs.append((circle_point(sys, x), circle_point(sys, x + offset)))
-            elif kind == "torus":
-                d = len(sys.param("alphas"))
-                step = min(Fraction(delta) / d, Fraction(1, 2))
-                xs = [dyadic() for _ in range(d)]
-                ys = [
-                    c + step * Fraction(rng.randint(-999, 999), 1000) for c in xs
-                ]
-                pairs.append((torus_point(sys, xs), torus_point(sys, ys)))
-            elif kind == "interval":
-                x = rng.random()
-                y = min(1.0, max(0.0, x + (2.0 * rng.random() - 1.0) * delta * 0.999))
-                pairs.append((interval_point(sys, x), interval_point(sys, y)))
-            elif kind == "union":
-                tag = rng.choice(("a", "b"))
-                step = min(Fraction(delta) * 2, Fraction(1, 2))
-                x = dyadic()
-                offset = step * Fraction(rng.randint(-999, 999), 1000)
-                pairs.append(
-                    (union_point(sys, tag, x), union_point(sys, tag, x + offset))
-                )
-            elif kind == "shift":
-                # positions with |p| >= c sit at enumeration index >= 2c-1,
-                # so any disagreement confined there keeps d <= 2^(1-2c)
-                c = 1
-                while math.ldexp(1.0, 1 - 2 * c) >= delta:
-                    c += 1
-                base = RandomWord(rng.getrandbits(32))
-                if rng.random() < 0.5:
-                    other = SplicedWord(base, PeriodicWord((1,)), c + rng.randint(0, 3))
-                else:
-                    far = c + rng.randint(0, 8)
-                    other = FlippedWord(base, {far})
-                pairs.append((shift_point(sys, base), shift_point(sys, other)))
-            else:
-                raise UnsupportedCaseError(
-                    f"no built-in near-pair sampler for {kind!r} spaces"
-                )
-        return pairs
+        return [space.near_pair(sys, rng, delta) for _ in range(count)]
 
     return sample
 

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import __version__ as VERSION
 from . import analysis, groups, measures, systems, transport
 from .errors import ConfigError, FolnerlabError
 
 __all__ = ["main"]
-
-VERSION = "0.1.0"
 
 _DEFAULT_TOLERANCES = {"metric": 1e-9, "rho_terms": 40, "threshold": 0.05}
 
@@ -141,16 +140,25 @@ class _OpOutput:
     json_payload: dict | None = None
 
 
-def _parse_pair_list(ctx: _RunContext, raw: object, path: str) -> list:
+def _parse_pair_list(raw: object, path: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("expected a nonempty list of pairs", path)
     return raw
 
 
-def _op_wasserstein_trace(ctx: _RunContext, params: dict) -> _OpOutput:
+def _trace_payload(trace: analysis.PseudometricTrace) -> dict:
+    return {
+        "kind": trace.kind,
+        "indices": list(trace.indices),
+        "values": list(trace.values),
+        "limsup_estimate": trace.limsup_estimate,
+    }
+
+
+def _op_trace(trace_fn: Callable, ctx: _RunContext, params: dict) -> _OpOutput:
     x = systems.parse_point(ctx.system, params["x"])
     y = systems.parse_point(ctx.system, params["y"])
-    trace = analysis.wasserstein_trace(
+    trace = trace_fn(
         ctx.system, x, y, ctx.require_seq(), ctx.require_indices(),
         ctx.tolerances["metric"],
     )
@@ -160,34 +168,7 @@ def _op_wasserstein_trace(ctx: _RunContext, params: dict) -> _OpOutput:
             "limsup_estimate": trace.limsup_estimate,
         },
         csv_table=trace.csv_table(),
-        json_payload={
-            "kind": trace.kind,
-            "indices": list(trace.indices),
-            "values": list(trace.values),
-            "limsup_estimate": trace.limsup_estimate,
-        },
-    )
-
-
-def _op_mean_distance_trace(ctx: _RunContext, params: dict) -> _OpOutput:
-    x = systems.parse_point(ctx.system, params["x"])
-    y = systems.parse_point(ctx.system, params["y"])
-    trace = analysis.mean_distance_trace(
-        ctx.system, x, y, ctx.require_seq(), ctx.require_indices(),
-        ctx.tolerances["metric"],
-    )
-    return _OpOutput(
-        summary={
-            "final_value": trace.values[-1],
-            "limsup_estimate": trace.limsup_estimate,
-        },
-        csv_table=trace.csv_table(),
-        json_payload={
-            "kind": trace.kind,
-            "indices": list(trace.indices),
-            "values": list(trace.values),
-            "limsup_estimate": trace.limsup_estimate,
-        },
+        json_payload=_trace_payload(trace),
     )
 
 
@@ -269,7 +250,7 @@ def _op_tempered_extraction(ctx: _RunContext, params: dict) -> _OpOutput:
 def _op_coupling_bounds(ctx: _RunContext, params: dict) -> _OpOutput:
     product = systems.product_system(ctx.system)
     pairs = []
-    for item in _parse_pair_list(ctx, params["pairs"], "operation.params.pairs"):
+    for item in _parse_pair_list(params["pairs"], "operation.params.pairs"):
         _check_keys(item, {"z1", "z2"}, {"z1", "z2"}, "operation.params.pairs[]")
         pairs.append(
             (
@@ -398,8 +379,15 @@ class _OpSpec:
 
 
 _OPERATIONS: dict[str, _OpSpec] = {
-    "wasserstein_trace": _OpSpec(_op_wasserstein_trace, frozenset({"x", "y"})),
-    "mean_distance_trace": _OpSpec(_op_mean_distance_trace, frozenset({"x", "y"})),
+    # the analysis attribute is read per call, so wrappers installed on it apply
+    "wasserstein_trace": _OpSpec(
+        lambda ctx, params: _op_trace(analysis.wasserstein_trace, ctx, params),
+        frozenset({"x", "y"}),
+    ),
+    "mean_distance_trace": _OpSpec(
+        lambda ctx, params: _op_trace(analysis.mean_distance_trace, ctx, params),
+        frozenset({"x", "y"}),
+    ),
     "wdist": _OpSpec(_op_wdist, frozenset({"x", "y", "n"})),
     "defect_table": _OpSpec(
         _op_defect_table, frozenset({"elements"}), frozenset({"sides"})
@@ -929,17 +917,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.csv:
         _write_csv(args.csv, *trace.csv_table())
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "kind": trace.kind,
-                    "indices": list(trace.indices),
-                    "values": list(trace.values),
-                    "limsup_estimate": trace.limsup_estimate,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(_trace_payload(trace), sort_keys=True))
     else:
         for n, v in zip(trace.indices, trace.values):
             print(f"n={n} value={_fmt(v)}")

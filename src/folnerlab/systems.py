@@ -9,6 +9,11 @@ Payload conventions per space kind:
             cross-component distance exactly 1
   product   pair of factor points, sum metric
 
+Each kind is one Space object in the module table _SPACES: its action,
+scalar metric, vectorized distance kernel, point (de)serialization, CSV
+columns and near-pair draw.  The public functions look the space up from
+``sys.space_kind``; that table is the one place a new kind plugs in.
+
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
 1e9, flagged on the built system.  At this scale every periodicity statement
@@ -19,16 +24,22 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GroupMismatchError, SystemMismatchError
-from .groups import FiniteSubset, GroupElement, group_rank
+from .errors import (
+    ConfigError, GroupMismatchError, SystemMismatchError, UnsupportedCaseError
+)
+from .groups import FiniteSubset, GroupElement
 from .rationals import GOLDEN_ALPHA, SURROGATE_DENOMINATOR, parse_rational
-from .words import Word, shift_word, word_from_dict, word_to_dict
+from .words import (
+    FlippedWord, PeriodicWord, RandomWord, SplicedWord, Word,
+    shift_word, word_from_dict, word_to_dict,
+)
 
 __all__ = [
     "SystemPoint",
@@ -162,7 +173,7 @@ def pair_point(sys: GSystem, x: SystemPoint, y: SystemPoint) -> SystemPoint:
 
 
 # ---------------------------------------------------------------------------
-# Action
+# Space kinds
 
 
 def _interval_power(value: float, n: int) -> float:
@@ -184,55 +195,14 @@ def _interval_power(value: float, n: int) -> float:
     return v
 
 
-def act(sys: GSystem, g: GroupElement, x: SystemPoint) -> SystemPoint:
-    _check_group(sys, g)
-    _check_point(sys, x)
-    kind = sys.space_kind
-    if kind == "circle":
-        alphas = sys.param("alphas")
-        offset = sum(
-            (gi * ai for gi, ai in zip(g.coords, alphas)), start=Fraction(0)
-        )
-        return SystemPoint(sys.system_id, (x.payload + offset) % 1)
-    if kind == "torus":
-        alphas = sys.param("alphas")
-        u = tuple(
-            (c + gi * ai) % 1 for c, gi, ai in zip(x.payload, g.coords, alphas)
-        )
-        return SystemPoint(sys.system_id, u)
-    if kind == "shift":
-        return SystemPoint(sys.system_id, shift_word(x.payload, g.coords[0]))
-    if kind == "interval":
-        return SystemPoint(sys.system_id, _interval_power(x.payload, g.coords[0]))
-    if kind == "union":
-        tag, value = x.payload
-        alpha = sys.param("alpha_a") if tag == "a" else sys.param("alpha_b")
-        return SystemPoint(sys.system_id, (tag, (value + g.coords[0] * alpha) % 1))
-    if kind == "product":
-        p, q = x.payload
-        return SystemPoint(
-            sys.system_id, (act(sys.factors[0], g, p), act(sys.factors[1], g, q))
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
-def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
-    """The orbit piece [g*x for g in F], in F's enumeration order."""
-    _check_point(sys, x)
-    if F.size and F.elements[0].group_id != sys.group_id:
-        raise GroupMismatchError(
-            f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
-        )
-    return [act(sys, g, x) for g in F]
-
-
-# ---------------------------------------------------------------------------
-# Metric
-
-
 def _arc(u: float, v: float) -> float:
     d = abs(u - v)
     return min(d, 1.0 - d)
+
+
+def _arcs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    D = np.abs(U - V)
+    return np.minimum(D, 1.0 - D)
 
 
 def _truncation_depth(tol: float) -> int:
@@ -252,6 +222,328 @@ def _z_enumeration(K: int) -> list[int]:
     return out
 
 
+def _dyadic(rng: random.Random) -> Fraction:
+    return Fraction(rng.getrandbits(48), 1 << 48)
+
+
+def _offset(rng: random.Random, step: Fraction) -> Fraction:
+    return step * Fraction(rng.randint(-999, 999), 1000)
+
+
+class Space:
+    """Everything one space kind knows; each method takes the system first.
+
+    ``coords`` turns points into a coordinate array, or a tuple of them, with
+    the points on the leading axis.  ``kernel`` maps two coordinate sets to
+    distances elementwise, broadcasting over the leading axes, so the
+    distance matrix is ``kernel(U[:, None], V[None])`` and its diagonal is
+    ``kernel(U, V)``.  The scalar ``metric`` is separate code on purpose: it
+    is the reference the kernel is checked against.  ``near_pair`` draws a
+    pair at distance below delta.
+    """
+
+    kind = ""
+
+    def near_pair(self, sys: GSystem, rng: random.Random, delta: float):
+        raise UnsupportedCaseError(
+            f"no built-in near-pair sampler for {self.kind!r} spaces"
+        )
+
+
+class _Circle(Space):
+    kind = "circle"
+
+    def act(self, sys, g, x):
+        offset = sum(
+            (gi * ai for gi, ai in zip(g.coords, sys.param("alphas"))),
+            start=Fraction(0),
+        )
+        return SystemPoint(sys.system_id, (x.payload + offset) % 1)
+
+    def metric(self, sys, x, y, tol):
+        return _arc(float(x.payload), float(y.payload))
+
+    def coords(self, sys, points, tol):
+        return np.array([float(p.payload) for p in points], dtype=np.float64)
+
+    def kernel(self, sys, U, V):
+        return _arcs(U, V)
+
+    def parse_point(self, sys, spec):
+        return circle_point(sys, spec.get("value") if isinstance(spec, dict) else spec)
+
+    def point_to_dict(self, sys, x):
+        return {"value": str(x.payload)}
+
+    def atom_header(self, sys):
+        return ["x"]
+
+    def atom_row(self, sys, x):
+        return ["%.12g" % float(x.payload)]
+
+    def near_pair(self, sys, rng, delta):
+        step = min(Fraction(delta), Fraction(1, 2))
+        x = _dyadic(rng)
+        return circle_point(sys, x), circle_point(sys, x + _offset(rng, step))
+
+
+class _Torus(Space):
+    kind = "torus"
+
+    def act(self, sys, g, x):
+        alphas = sys.param("alphas")
+        return SystemPoint(
+            sys.system_id,
+            tuple((c + gi * ai) % 1 for c, gi, ai in zip(x.payload, g.coords, alphas)),
+        )
+
+    def metric(self, sys, x, y, tol):
+        s = 0.0
+        for u, v in zip(x.payload, y.payload):
+            s += _arc(float(u), float(v))
+        return s
+
+    def coords(self, sys, points, tol):
+        rows = [[float(c) for c in p.payload] for p in points]
+        return np.array(rows, dtype=np.float64).reshape(-1, len(sys.param("alphas")))
+
+    def kernel(self, sys, U, V):
+        D = _arcs(U[..., 0], V[..., 0])
+        for c in range(1, U.shape[-1]):
+            D = D + _arcs(U[..., c], V[..., c])
+        return D
+
+    def parse_point(self, sys, spec):
+        return torus_point(sys, spec.get("values") if isinstance(spec, dict) else spec)
+
+    def point_to_dict(self, sys, x):
+        return {"values": [str(c) for c in x.payload]}
+
+    def atom_header(self, sys):
+        return [f"x{i}" for i in range(len(sys.param("alphas")))]
+
+    def atom_row(self, sys, x):
+        return ["%.12g" % float(c) for c in x.payload]
+
+    def near_pair(self, sys, rng, delta):
+        d = len(sys.param("alphas"))
+        step = min(Fraction(delta) / d, Fraction(1, 2))
+        xs = [_dyadic(rng) for _ in range(d)]
+        ys = [c + _offset(rng, step) for c in xs]
+        return torus_point(sys, xs), torus_point(sys, ys)
+
+
+class _Shift(Space):
+    kind = "shift"
+
+    def act(self, sys, g, x):
+        return SystemPoint(sys.system_id, shift_word(x.payload, g.coords[0]))
+
+    def metric(self, sys, x, y, tol):
+        u, v = x.payload, y.payload
+        s = 0.0
+        for i, pos in enumerate(_z_enumeration(_truncation_depth(tol))):
+            if u.symbol(pos) != v.symbol(pos):
+                s += math.ldexp(1.0, -i - 1)
+        return s
+
+    def coords(self, sys, points, tol):
+        # one int8 symbol column per enumerated position
+        positions = _z_enumeration(_truncation_depth(tol))
+        rows = [[p.payload.symbol(pos) for pos in positions] for p in points]
+        return np.array(rows, dtype=np.int8).reshape(-1, len(positions))
+
+    def kernel(self, sys, U, V):
+        D = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]))
+        for i in range(U.shape[-1]):
+            D += math.ldexp(1.0, -i - 1) * (U[..., i] != V[..., i])
+        return D
+
+    def parse_point(self, sys, spec):
+        if not isinstance(spec, dict):
+            raise ConfigError("shift points need a word description")
+        return shift_point(sys, word_from_dict(spec))
+
+    def point_to_dict(self, sys, x):
+        return word_to_dict(x.payload)
+
+    def atom_header(self, sys):
+        return ["word"]
+
+    def atom_row(self, sys, x):
+        return [json.dumps(word_to_dict(x.payload), sort_keys=True)]
+
+    def near_pair(self, sys, rng, delta):
+        # positions with |p| >= c sit at enumeration index >= 2c-1,
+        # so any disagreement confined there keeps d <= 2^(1-2c)
+        c = 1
+        while math.ldexp(1.0, 1 - 2 * c) >= delta:
+            c += 1
+        base = RandomWord(rng.getrandbits(32))
+        if rng.random() < 0.5:
+            other = SplicedWord(base, PeriodicWord((1,)), c + rng.randint(0, 3))
+        else:
+            other = FlippedWord(base, {c + rng.randint(0, 8)})
+        return shift_point(sys, base), shift_point(sys, other)
+
+
+class _Interval(Space):
+    kind = "interval"
+
+    def act(self, sys, g, x):
+        return SystemPoint(sys.system_id, _interval_power(x.payload, g.coords[0]))
+
+    def metric(self, sys, x, y, tol):
+        return abs(x.payload - y.payload)
+
+    def coords(self, sys, points, tol):
+        return np.array([p.payload for p in points], dtype=np.float64)
+
+    def kernel(self, sys, U, V):
+        return np.abs(U - V)
+
+    def parse_point(self, sys, spec):
+        value = spec.get("value") if isinstance(spec, dict) else spec
+        return interval_point(sys, float(value))
+
+    def point_to_dict(self, sys, x):
+        return {"value": x.payload}
+
+    def atom_header(self, sys):
+        return ["x"]
+
+    def atom_row(self, sys, x):
+        return ["%.12g" % x.payload]
+
+    def near_pair(self, sys, rng, delta):
+        x = rng.random()
+        y = min(1.0, max(0.0, x + (2.0 * rng.random() - 1.0) * delta * 0.999))
+        return interval_point(sys, x), interval_point(sys, y)
+
+
+class _Union(Space):
+    kind = "union"
+
+    def act(self, sys, g, x):
+        tag, value = x.payload
+        alpha = sys.param("alpha_a") if tag == "a" else sys.param("alpha_b")
+        return SystemPoint(sys.system_id, (tag, (value + g.coords[0] * alpha) % 1))
+
+    def metric(self, sys, x, y, tol):
+        (tag_x, u), (tag_y, v) = x.payload, y.payload
+        if tag_x != tag_y:
+            return 1.0
+        return _arc(float(u), float(v)) * 0.5
+
+    def coords(self, sys, points, tol):
+        tags = np.array([0 if p.payload[0] == "a" else 1 for p in points])
+        return tags, np.array([float(p.payload[1]) for p in points], dtype=np.float64)
+
+    def kernel(self, sys, U, V):
+        (tags_u, u), (tags_v, v) = U, V
+        return np.where(tags_u != tags_v, 1.0, _arcs(u, v) * 0.5)
+
+    def parse_point(self, sys, spec):
+        if not isinstance(spec, dict):
+            raise ConfigError("union points need {'component', 'value'}")
+        return union_point(sys, spec["component"], spec["value"])
+
+    def point_to_dict(self, sys, x):
+        return {"component": x.payload[0], "value": str(x.payload[1])}
+
+    def atom_header(self, sys):
+        return ["component", "x"]
+
+    def atom_row(self, sys, x):
+        return [x.payload[0], "%.12g" % float(x.payload[1])]
+
+    def near_pair(self, sys, rng, delta):
+        tag = rng.choice(("a", "b"))
+        step = min(Fraction(delta) * 2, Fraction(1, 2))
+        x = _dyadic(rng)
+        return union_point(sys, tag, x), union_point(sys, tag, x + _offset(rng, step))
+
+
+class _Product(Space):
+    """Pairs of factor points; every method recurses through the factors."""
+
+    kind = "product"
+
+    def act(self, sys, g, x):
+        (a, b), (p, q) = sys.factors, x.payload
+        return SystemPoint(sys.system_id, (act(a, g, p), act(b, g, q)))
+
+    def metric(self, sys, x, y, tol):
+        (a, b), (p1, q1), (p2, q2) = sys.factors, x.payload, y.payload
+        half = tol / 2.0
+        return metric(a, p1, p2, half) + metric(b, q1, q2, half)
+
+    def coords(self, sys, points, tol):
+        return tuple(
+            _coords(f, [p.payload[i] for p in points], tol / 2.0)
+            for i, f in enumerate(sys.factors)
+        )
+
+    def kernel(self, sys, U, V):
+        (a, b), (U1, U2), (V1, V2) = sys.factors, U, V
+        return space_of(a).kernel(a, U1, V1) + space_of(b).kernel(b, U2, V2)
+
+    def parse_point(self, sys, spec):
+        if not isinstance(spec, dict) or "left" not in spec or "right" not in spec:
+            raise ConfigError("product points need {'left', 'right'}")
+        a, b = sys.factors
+        left, right = parse_point(a, spec["left"]), parse_point(b, spec["right"])
+        return pair_point(sys, left, right)
+
+    def point_to_dict(self, sys, x):
+        (a, b), (p, q) = sys.factors, x.payload
+        return {"left": point_to_dict(a, p), "right": point_to_dict(b, q)}
+
+    def atom_header(self, sys):
+        left = [f"left_{c}" for c in atom_header(sys.factors[0])]
+        right = [f"right_{c}" for c in atom_header(sys.factors[1])]
+        return left + right
+
+    def atom_row(self, sys, x):
+        (a, b), (p, q) = sys.factors, x.payload
+        return atom_row(a, p) + atom_row(b, q)
+
+
+# The one table of space kinds: a new kind plugs in here.
+_SPACES: dict[str, Space] = {
+    space.kind: space
+    for space in (_Circle(), _Torus(), _Shift(), _Interval(), _Union(), _Product())
+}
+
+
+def space_of(sys: GSystem) -> Space:
+    """The Space object for the system's space kind."""
+    try:
+        return _SPACES[sys.space_kind]
+    except KeyError:
+        raise ValueError(f"unknown space kind {sys.space_kind!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Action and metric
+
+
+def act(sys: GSystem, g: GroupElement, x: SystemPoint) -> SystemPoint:
+    _check_group(sys, g)
+    _check_point(sys, x)
+    return space_of(sys).act(sys, g, x)
+
+
+def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
+    """The orbit piece [g*x for g in F], in F's enumeration order."""
+    _check_point(sys, x)
+    if F.size and F.elements[0].group_id != sys.group_id:
+        raise GroupMismatchError(
+            f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
+        )
+    return [act(sys, g, x) for g in F]
+
+
 def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> float:
     """Distance with absolute error at most tol.
 
@@ -262,62 +554,22 @@ def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> f
         raise ValueError("tol must be positive")
     _check_point(sys, x)
     _check_point(sys, y)
-    kind = sys.space_kind
-    if kind == "circle":
-        return _arc(float(x.payload), float(y.payload))
-    if kind == "torus":
-        s = 0.0
-        for u, v in zip(x.payload, y.payload):
-            s += _arc(float(u), float(v))
-        return s
-    if kind == "shift":
-        K = _truncation_depth(tol)
-        u, v = x.payload, y.payload
-        s = 0.0
-        for i, pos in enumerate(_z_enumeration(K)):
-            if u.symbol(pos) != v.symbol(pos):
-                s += math.ldexp(1.0, -i - 1)
-        return s
-    if kind == "interval":
-        return abs(x.payload - y.payload)
-    if kind == "union":
-        tag_x, u = x.payload
-        tag_y, v = y.payload
-        if tag_x != tag_y:
-            return 1.0
-        return _arc(float(u), float(v)) * 0.5
-    if kind == "product":
-        p1, q1 = x.payload
-        p2, q2 = y.payload
-        half = tol / 2.0
-        return metric(sys.factors[0], p1, p2, half) + metric(
-            sys.factors[1], q1, q2, half
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).metric(sys, x, y, tol)
 
 
-def _float_coords(sys: GSystem, points: Sequence[SystemPoint]) -> np.ndarray:
-    kind = sys.space_kind
-    if kind == "circle":
-        return np.array([float(p.payload) for p in points], dtype=np.float64)
-    if kind == "torus":
-        return np.array(
-            [[float(c) for c in p.payload] for p in points], dtype=np.float64
-        )
-    if kind == "interval":
-        return np.array([p.payload for p in points], dtype=np.float64)
-    raise ValueError(kind)
+def _coords(sys: GSystem, points: Sequence[SystemPoint], tol: float):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    for p in points:
+        _check_point(sys, p)
+    return space_of(sys).coords(sys, points, tol)
 
 
-def _symbol_matrix(points: Sequence[SystemPoint], positions: list[int]) -> np.ndarray:
-    return np.array(
-        [[p.payload.symbol(pos) for pos in positions] for p in points], dtype=np.int8
-    )
-
-
-def _arc_matrix(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    D = np.abs(U[:, None] - V[None, :])
-    return np.minimum(D, 1.0 - D)
+def _at(coords, key):
+    """coords[key], applied through the tuples of union and product coords."""
+    if isinstance(coords, tuple):
+        return tuple(_at(c, key) for c in coords)
+    return coords[key]
 
 
 def pairwise_distances(
@@ -331,51 +583,8 @@ def pairwise_distances(
     Agrees with the scalar metric bit for bit: both paths use the same
     floating-point formulas in the same order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    for p in xs:
-        _check_point(sys, p)
-    for p in ys:
-        _check_point(sys, p)
-    kind = sys.space_kind
-    if kind == "circle":
-        return _arc_matrix(_float_coords(sys, xs), _float_coords(sys, ys))
-    if kind == "torus":
-        U = _float_coords(sys, xs)
-        V = _float_coords(sys, ys)
-        D = _arc_matrix(U[:, 0], V[:, 0])
-        for c in range(1, U.shape[1]):
-            D = D + _arc_matrix(U[:, c], V[:, c])
-        return D
-    if kind == "interval":
-        U = _float_coords(sys, xs)
-        V = _float_coords(sys, ys)
-        return np.abs(U[:, None] - V[None, :])
-    if kind == "union":
-        tags_x = np.array([0 if p.payload[0] == "a" else 1 for p in xs])
-        tags_y = np.array([0 if p.payload[0] == "a" else 1 for p in ys])
-        U = np.array([float(p.payload[1]) for p in xs], dtype=np.float64)
-        V = np.array([float(p.payload[1]) for p in ys], dtype=np.float64)
-        D = _arc_matrix(U, V) * 0.5
-        return np.where(tags_x[:, None] != tags_y[None, :], 1.0, D)
-    if kind == "shift":
-        K = _truncation_depth(tol)
-        positions = _z_enumeration(K)
-        SU = _symbol_matrix(xs, positions)
-        SV = _symbol_matrix(ys, positions)
-        D = np.zeros((len(xs), len(ys)), dtype=np.float64)
-        for i in range(K):
-            weight = math.ldexp(1.0, -i - 1)
-            D += weight * (SU[:, i, None] != SV[None, :, i])
-        return D
-    if kind == "product":
-        xs1, xs2 = [p.payload[0] for p in xs], [p.payload[1] for p in xs]
-        ys1, ys2 = [p.payload[0] for p in ys], [p.payload[1] for p in ys]
-        half = tol / 2.0
-        return pairwise_distances(sys.factors[0], xs1, ys1, half) + pairwise_distances(
-            sys.factors[1], xs2, ys2, half
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
+    U, V = _coords(sys, xs, tol), _coords(sys, ys, tol)
+    return space_of(sys).kernel(sys, _at(U, np.s_[:, None]), _at(V, np.s_[None]))
 
 
 def paired_distances(
@@ -387,54 +596,7 @@ def paired_distances(
     """Vector of metric(xs[i], ys[i], tol); the diagonal counterpart."""
     if len(xs) != len(ys):
         raise ValueError("paired_distances needs equally long sequences")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    for p in xs:
-        _check_point(sys, p)
-    for p in ys:
-        _check_point(sys, p)
-    kind = sys.space_kind
-    if kind == "circle":
-        U = _float_coords(sys, xs)
-        V = _float_coords(sys, ys)
-        D = np.abs(U - V)
-        return np.minimum(D, 1.0 - D)
-    if kind == "torus":
-        U = _float_coords(sys, xs)
-        V = _float_coords(sys, ys)
-        D = np.abs(U[:, 0] - V[:, 0])
-        D = np.minimum(D, 1.0 - D)
-        for c in range(1, U.shape[1]):
-            A = np.abs(U[:, c] - V[:, c])
-            D = D + np.minimum(A, 1.0 - A)
-        return D
-    if kind == "interval":
-        return np.abs(_float_coords(sys, xs) - _float_coords(sys, ys))
-    if kind == "union":
-        tags_x = np.array([0 if p.payload[0] == "a" else 1 for p in xs])
-        tags_y = np.array([0 if p.payload[0] == "a" else 1 for p in ys])
-        U = np.array([float(p.payload[1]) for p in xs], dtype=np.float64)
-        V = np.array([float(p.payload[1]) for p in ys], dtype=np.float64)
-        A = np.abs(U - V)
-        D = np.minimum(A, 1.0 - A) * 0.5
-        return np.where(tags_x != tags_y, 1.0, D)
-    if kind == "shift":
-        K = _truncation_depth(tol)
-        positions = _z_enumeration(K)
-        SU = _symbol_matrix(xs, positions)
-        SV = _symbol_matrix(ys, positions)
-        D = np.zeros(len(xs), dtype=np.float64)
-        for i in range(K):
-            D += math.ldexp(1.0, -i - 1) * (SU[:, i] != SV[:, i])
-        return D
-    if kind == "product":
-        half = tol / 2.0
-        return paired_distances(
-            sys.factors[0], [p.payload[0] for p in xs], [p.payload[0] for p in ys], half
-        ) + paired_distances(
-            sys.factors[1], [p.payload[1] for p in xs], [p.payload[1] for p in ys], half
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).kernel(sys, _coords(sys, xs, tol), _coords(sys, ys, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -555,77 +717,63 @@ class SystemCatalogEntry:
     build: Callable[..., GSystem] = field(compare=False)
 
 
-_CATALOG: dict[str, SystemCatalogEntry] = {}
-
-
-def _register(entry: SystemCatalogEntry) -> None:
-    _CATALOG[entry.name] = entry
-
-
-_register(
-    SystemCatalogEntry(
-        name="rotation",
-        summary="circle rotation x -> x + alpha under the integers",
-        param_schema=(("alpha", "rational; 'golden' for the built-in surrogate"),),
-        expected=ExpectedProperties(True, True, True, True),
-        build=lambda params: rotation(params.get("alpha", "golden")),
-    )
-)
-_register(
-    SystemCatalogEntry(
-        name="zd_rotation",
-        summary="Z^d translating the circle: g maps x to x + sum g_i alpha_i",
-        param_schema=(("alphas", "list of rationals, length d >= 2"),),
-        expected=ExpectedProperties(True, True, True, True),
-        build=lambda params: zd_rotation(params["alphas"]),
-    )
-)
-_register(
-    SystemCatalogEntry(
-        name="heisenberg_rotation",
-        summary="Heisenberg group translating the 2-torus through (a, b); "
-        "exercises nonabelian Folner bookkeeping on an equicontinuous space",
-        param_schema=(("alpha", "rational"), ("beta", "rational")),
-        expected=ExpectedProperties(True, True, True, True),
-        build=lambda params: heisenberg_rotation(
-            params.get("alpha", "golden"), params.get("beta", "golden")
+_CATALOG: dict[str, SystemCatalogEntry] = {
+    entry.name: entry
+    for entry in (
+        SystemCatalogEntry(
+            name="rotation",
+            summary="circle rotation x -> x + alpha under the integers",
+            param_schema=(("alpha", "rational; 'golden' for the built-in surrogate"),),
+            expected=ExpectedProperties(True, True, True, True),
+            build=lambda params: rotation(params.get("alpha", "golden")),
+        ),
+        SystemCatalogEntry(
+            name="zd_rotation",
+            summary="Z^d translating the circle: g maps x to x + sum g_i alpha_i",
+            param_schema=(("alphas", "list of rationals, length d >= 2"),),
+            expected=ExpectedProperties(True, True, True, True),
+            build=lambda params: zd_rotation(params["alphas"]),
+        ),
+        SystemCatalogEntry(
+            name="heisenberg_rotation",
+            summary="Heisenberg group translating the 2-torus through (a, b); "
+            "exercises nonabelian Folner bookkeeping on an equicontinuous space",
+            param_schema=(("alpha", "rational"), ("beta", "rational")),
+            expected=ExpectedProperties(True, True, True, True),
+            build=lambda params: heisenberg_rotation(
+                params.get("alpha", "golden"), params.get("beta", "golden")
+            ),
+        ),
+        SystemCatalogEntry(
+            name="full_shift",
+            summary="the shift on {0,1}^Z; points are rule-backed words",
+            param_schema=(),
+            expected=ExpectedProperties(False, False, False, True),
+            build=lambda params: full_shift(),
+        ),
+        SystemCatalogEntry(
+            name="two_rotations",
+            summary="disjoint union of two circle rotations; cross distance 1, "
+            "intra distance at most 1/4",
+            param_schema=(
+                ("alpha_a", "rational for component a"),
+                ("alpha_b", "rational for component b"),
+            ),
+            expected=ExpectedProperties(False, True, True, True),
+            build=lambda params: two_rotations(
+                params.get("alpha_a", "golden"), params.get("alpha_b", "golden")
+            ),
+        ),
+        SystemCatalogEntry(
+            name="interval_square",
+            summary="x -> x^2 on [0, 1] extended to an invertible integer action; "
+            "fixed points 0 and 1, measure center strictly smaller than the space",
+            param_schema=(),
+            expected=ExpectedProperties(False, False, False, False),
+            build=lambda params: interval_square(),
         ),
     )
-)
-_register(
-    SystemCatalogEntry(
-        name="full_shift",
-        summary="the shift on {0,1}^Z; points are rule-backed words",
-        param_schema=(),
-        expected=ExpectedProperties(False, False, False, True),
-        build=lambda params: full_shift(),
-    )
-)
-_register(
-    SystemCatalogEntry(
-        name="two_rotations",
-        summary="disjoint union of two circle rotations; cross distance 1, "
-        "intra distance at most 1/4",
-        param_schema=(
-            ("alpha_a", "rational for component a"),
-            ("alpha_b", "rational for component b"),
-        ),
-        expected=ExpectedProperties(False, True, True, True),
-        build=lambda params: two_rotations(
-            params.get("alpha_a", "golden"), params.get("alpha_b", "golden")
-        ),
-    )
-)
-_register(
-    SystemCatalogEntry(
-        name="interval_square",
-        summary="x -> x^2 on [0, 1] extended to an invertible integer action; "
-        "fixed points 0 and 1, measure center strictly smaller than the space",
-        param_schema=(),
-        expected=ExpectedProperties(False, False, False, False),
-        build=lambda params: interval_square(),
-    )
-)
+}
 
 
 def catalog() -> dict[str, SystemCatalogEntry]:
@@ -651,93 +799,18 @@ def build_system(name: str, params: dict | None = None) -> GSystem:
 
 def parse_point(sys: GSystem, spec: object) -> SystemPoint:
     """Build a point from a JSON-style description."""
-    kind = sys.space_kind
-    if kind == "circle":
-        if isinstance(spec, dict):
-            spec = spec.get("value")
-        return circle_point(sys, spec)
-    if kind == "torus":
-        if isinstance(spec, dict):
-            spec = spec.get("values")
-        return torus_point(sys, spec)
-    if kind == "interval":
-        if isinstance(spec, dict):
-            spec = spec.get("value")
-        return interval_point(sys, float(spec))
-    if kind == "union":
-        if not isinstance(spec, dict):
-            raise ConfigError("union points need {'component', 'value'}")
-        return union_point(sys, spec["component"], spec["value"])
-    if kind == "shift":
-        if not isinstance(spec, dict):
-            raise ConfigError("shift points need a word description")
-        return shift_point(sys, word_from_dict(spec))
-    if kind == "product":
-        if not isinstance(spec, dict) or "left" not in spec or "right" not in spec:
-            raise ConfigError("product points need {'left', 'right'}")
-        return pair_point(
-            sys,
-            parse_point(sys.factors[0], spec["left"]),
-            parse_point(sys.factors[1], spec["right"]),
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).parse_point(sys, spec)
 
 
 def point_to_dict(sys: GSystem, x: SystemPoint) -> object:
-    kind = sys.space_kind
-    if kind == "circle":
-        return {"value": str(x.payload)}
-    if kind == "torus":
-        return {"values": [str(c) for c in x.payload]}
-    if kind == "interval":
-        return {"value": x.payload}
-    if kind == "union":
-        return {"component": x.payload[0], "value": str(x.payload[1])}
-    if kind == "shift":
-        return word_to_dict(x.payload)
-    if kind == "product":
-        return {
-            "left": point_to_dict(sys.factors[0], x.payload[0]),
-            "right": point_to_dict(sys.factors[1], x.payload[1]),
-        }
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).point_to_dict(sys, x)
 
 
 def atom_header(sys: GSystem) -> list[str]:
     """CSV column names for one atom of this system."""
-    kind = sys.space_kind
-    if kind == "circle":
-        return ["x"]
-    if kind == "torus":
-        return [f"x{i}" for i in range(len(sys.param("alphas")))]
-    if kind == "interval":
-        return ["x"]
-    if kind == "union":
-        return ["component", "x"]
-    if kind == "shift":
-        return ["word"]
-    if kind == "product":
-        left = [f"left_{c}" for c in atom_header(sys.factors[0])]
-        right = [f"right_{c}" for c in atom_header(sys.factors[1])]
-        return left + right
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).atom_header(sys)
 
 
 def atom_row(sys: GSystem, x: SystemPoint) -> list[str]:
     """CSV cells for one atom, matching atom_header."""
-    kind = sys.space_kind
-    if kind == "circle":
-        return ["%.12g" % float(x.payload)]
-    if kind == "torus":
-        return ["%.12g" % float(c) for c in x.payload]
-    if kind == "interval":
-        return ["%.12g" % x.payload]
-    if kind == "union":
-        return [x.payload[0], "%.12g" % float(x.payload[1])]
-    if kind == "shift":
-        return [json.dumps(word_to_dict(x.payload), sort_keys=True)]
-    if kind == "product":
-        return atom_row(sys.factors[0], x.payload[0]) + atom_row(
-            sys.factors[1], x.payload[1]
-        )
-    raise ValueError(f"unknown space kind {kind!r}")
+    return space_of(sys).atom_row(sys, x)

@@ -352,6 +352,70 @@ def test_near_pair_sampler_rejects_bad_delta_and_products():
         prod_sampler(0.1, 4)
 
 
+@pytest.mark.parametrize(
+    "sys_obj,expected",
+    [
+        (
+            fl.heisenberg_rotation(),
+            [
+                (
+                    {"values": ["33350058038919/35184372088832",
+                                "111132926676279/281474976710656"]},
+                    {"values": ["34752140342069754299/36028797018963968000",
+                                "25203834617718770303/72057594037927936000"]},
+                ),
+                (
+                    {"values": ["231168335884083/281474976710656",
+                                "26493659877419/281474976710656"]},
+                    {"values": ["58274771181149252353/72057594037927936000",
+                                "3740667795393582509/36028797018963968000"]},
+                ),
+                (
+                    {"values": ["256057609356405/281474976710656",
+                                "60432369274613/281474976710656"]},
+                    {"values": ["62225290030389305569/72057594037927936000",
+                                "12505516539640193269/72057594037927936000"]},
+                ),
+            ],
+        ),
+        (
+            fl.interval_square(),
+            [
+                ({"value": 0.32383276483316237}, {"value": 0.2540724297832778}),
+                ({"value": 0.6509344730398537}, {"value": 0.5655072431160288}),
+                ({"value": 0.5358820043066892}, {"value": 0.5090466499058238}),
+            ],
+        ),
+        (
+            fl.two_rotations(),
+            [
+                (
+                    {"component": "b", "value": "10616029434745/70368744177664"},
+                    {"component": "b",
+                     "value": "2029553512232508173/18014398509481984000"},
+                ),
+                (
+                    {"component": "a", "value": "231168335884083/281474976710656"},
+                    {"component": "a",
+                     "value": "7573927853683579453/9007199254740992000"},
+                ),
+                (
+                    {"component": "a", "value": "20504907069759/35184372088832"},
+                    {"component": "a",
+                     "value": "7324375402345882243/18014398509481984000"},
+                ),
+            ],
+        ),
+    ],
+    ids=lambda v: getattr(v, "space_kind", ""),
+)
+def test_near_pair_sampler_frozen(sys_obj, expected):
+    # pins the draw order of the torus, interval and union samplers
+    pairs = fl.near_pair_sampler(sys_obj, 7)(0.1, 3)
+    got = [(fl.point_to_dict(sys_obj, x), fl.point_to_dict(sys_obj, y)) for x, y in pairs]
+    assert got == expected
+
+
 def test_modulus_csv_table():
     sampler = fl.near_pair_sampler(GOLDEN, 5)
     est = fl.modulus_estimate(

@@ -331,12 +331,28 @@ def test_sturmian_orbit_matches_rotation_coding():
         assert p.payload.symbol(0) == expected
 
 
-@pytest.mark.parametrize("sys_obj", all_systems(), ids=lambda s: s.system_id)
-def test_vectorized_distances_match_scalar_bitwise(sys_obj):
+def vectorized_cases():
+    # tol 1e-3 changes the shift truncation depth; nested products reach the
+    # recursive kernel through every factor kind
+    products = [
+        fl.product_system(fl.full_shift()),
+        fl.product_system(fl.two_rotations()),
+        fl.product_system(fl.heisenberg_rotation()),
+        fl.product_system(fl.interval_square()),
+        fl.product_system(fl.product_system(fl.full_shift())),
+    ]
+    cases = [pytest.param(s, 1e-9, id=s.system_id) for s in all_systems()]
+    for s in all_systems() + products:
+        for tol in ((1e-9, 1e-3) if s in products else (1e-3,)):
+            cases.append(pytest.param(s, tol, id=f"{s.system_id}-tol={tol:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("sys_obj,tol", vectorized_cases())
+def test_vectorized_distances_match_scalar_bitwise(sys_obj, tol):
     rng = random.Random(12)
     xs = [random_point(rng, sys_obj) for _ in range(12)]
     ys = [random_point(rng, sys_obj) for _ in range(12)]
-    tol = 1e-9
     M = fl.pairwise_distances(sys_obj, xs, ys, tol)
     assert M.shape == (12, 12)
     for i in range(0, 12, 3):
