@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: catalog, run, verify, defect, tempered, wdist, trace.
+The shortcuts defect, tempered, wdist and trace run the same ``_OPERATIONS``
+entries as ``run``, and their ``--group`` must agree with ``--kind``.
 Exit codes: 0 success, 1 runtime failure, 2 configuration failure.
 Every failure prints a single machine-parseable line to stderr:
 ``error[ClassName]: message``.
 
-Configs are strict JSON: unknown keys are rejected with their key path, and
-identical config + seed yields byte-identical CSV output.  Report files never
+Configs are strict JSON: unknown keys and values of the wrong type are
+rejected with their key path, and identical config + seed yields
+byte-identical CSV output.  Report files never
 contain wall-clock timings; those go to stdout only.
 """
 
@@ -81,22 +84,37 @@ def _check_keys(
             raise ConfigError(f"missing required key {key!r}", path or key)
 
 
-def _build_sequence(sys_obj: systems.GSystem, folner: dict) -> groups.FolnerSequence:
+def _require(value: object, types: tuple[type, ...], what: str, path: str) -> None:
+    # bool is a subclass of int, but true/false are not numbers in a config
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"expected {what}, got {json.dumps(value)}", path)
+
+
+def _build_system(system_cfg: dict) -> systems.GSystem:
+    _check_keys(system_cfg, {"name", "params"}, {"name"}, "system")
+    _require(system_cfg["name"], (str,), "a string", "system.name")
+    params = system_cfg.get("params", {})
+    _require(params, (dict,), "an object", "system.params")
+    return systems.build_system(system_cfg["name"], params)
+
+
+def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
     _check_keys(
         folner, {"kind", "anchor", "subsets", "claimed_sides"}, {"kind"}, "folner"
     )
     kind = folner["kind"]
     if kind == "z_interval":
-        if sys_obj.group_id != "Z":
+        if group_id != "Z":
             raise ConfigError(
-                f"z_interval needs the group Z, system uses {sys_obj.group_id!r}",
-                "folner.kind",
+                f"z_interval needs the group Z, not {group_id!r}", "folner.kind"
             )
         return groups.FolnerSequence("Z", kind, anchor=folner.get("anchor", "left"))
     if kind == "zd_box":
-        return groups.FolnerSequence(sys_obj.group_id, kind)
+        if group_id == "heisenberg":
+            raise ConfigError("zd_box needs a group Z or Z^d", "folner.kind")
+        return groups.FolnerSequence(group_id, kind)
     if kind == "heisenberg_box":
-        if sys_obj.group_id != "heisenberg":
+        if group_id != "heisenberg":
             raise ConfigError(
                 "heisenberg_box needs the Heisenberg group", "folner.kind"
             )
@@ -105,7 +123,7 @@ def _build_sequence(sys_obj: systems.GSystem, folner: dict) -> groups.FolnerSequ
         if "subsets" not in folner:
             raise ConfigError("explicit_list needs 'subsets'", "folner")
         subsets = tuple(
-            groups.FiniteSubset.from_coords(sys_obj.group_id, rows, sort=False)
+            groups.FiniteSubset.from_coords(group_id, rows, sort=False)
             for rows in folner["subsets"]
         )
         return groups.explicit_sequence(
@@ -116,7 +134,7 @@ def _build_sequence(sys_obj: systems.GSystem, folner: dict) -> groups.FolnerSequ
 
 @dataclass
 class _RunContext:
-    system: systems.GSystem
+    system: systems.GSystem | None
     seq: groups.FolnerSequence | None
     indices: tuple[int, ...] | None
     seed: int
@@ -146,15 +164,6 @@ def _parse_pair_list(raw: object, path: str) -> list:
     return raw
 
 
-def _trace_payload(trace: analysis.PseudometricTrace) -> dict:
-    return {
-        "kind": trace.kind,
-        "indices": list(trace.indices),
-        "values": list(trace.values),
-        "limsup_estimate": trace.limsup_estimate,
-    }
-
-
 def _op_trace(trace_fn: Callable, ctx: _RunContext, params: dict) -> _OpOutput:
     x = systems.parse_point(ctx.system, params["x"])
     y = systems.parse_point(ctx.system, params["y"])
@@ -168,7 +177,12 @@ def _op_trace(trace_fn: Callable, ctx: _RunContext, params: dict) -> _OpOutput:
             "limsup_estimate": trace.limsup_estimate,
         },
         csv_table=trace.csv_table(),
-        json_payload=_trace_payload(trace),
+        json_payload={
+            "kind": trace.kind,
+            "indices": list(trace.indices),
+            "values": list(trace.values),
+            "limsup_estimate": trace.limsup_estimate,
+        },
     )
 
 
@@ -426,6 +440,23 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _run_operation(ctx: _RunContext, op_name: object, op_params: object) -> _OpOutput:
+    """Validate one ``_OPERATIONS`` entry's name and params, then run it."""
+    _require(op_name, (str,), "a string", "operation.name")
+    if op_name not in _OPERATIONS:
+        known = ", ".join(sorted(_OPERATIONS))
+        raise ConfigError(
+            f"unknown operation {op_name!r}; known operations: {known}",
+            "operation.name",
+        )
+    spec = _OPERATIONS[op_name]
+    _check_keys(
+        op_params, set(spec.required | spec.optional), set(spec.required),
+        "operation.params",
+    )
+    return spec.runner(ctx, op_params)
+
+
 def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
     _check_keys(
         config,
@@ -433,15 +464,11 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
         {"system", "operation"},
         "",
     )
-    system_cfg = config["system"]
-    _check_keys(system_cfg, {"name", "params"}, {"name"}, "system")
-    sys_obj = systems.build_system(
-        system_cfg["name"], system_cfg.get("params", {})
-    )
+    sys_obj = _build_system(config["system"])
 
     seq = None
     if "folner" in config:
-        seq = _build_sequence(sys_obj, config["folner"])
+        seq = _build_sequence(sys_obj.group_id, config["folner"])
 
     indices = None
     if "indices" in config:
@@ -455,34 +482,26 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
         _check_keys(
             config["tolerances"], set(_DEFAULT_TOLERANCES), set(), "tolerances"
         )
+        for key, value in config["tolerances"].items():
+            if key == "rho_terms":
+                _require(value, (int,), "an integer", "tolerances.rho_terms")
+            else:
+                _require(value, (int, float), "a number", f"tolerances.{key}")
         tolerances.update(config["tolerances"])
 
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    _require(seed, (int,), "an integer", "seed")
     if seed_override is not None:
         seed = seed_override
 
     op_cfg = config["operation"]
     _check_keys(op_cfg, {"name", "params"}, {"name"}, "operation")
-    op_name = op_cfg["name"]
-    if op_name not in _OPERATIONS:
-        known = ", ".join(sorted(_OPERATIONS))
-        raise ConfigError(
-            f"unknown operation {op_name!r}; known operations: {known}",
-            "operation.name",
-        )
-    spec = _OPERATIONS[op_name]
-    op_params = op_cfg.get("params", {})
-    _check_keys(
-        op_params, set(spec.required | spec.optional), set(spec.required),
-        "operation.params",
-    )
-
     output_cfg = config.get("output", {})
     _check_keys(output_cfg, {"csv", "json"}, set(), "output")
 
     ctx = _RunContext(sys_obj, seq, indices, seed, tolerances)
     started = time.perf_counter()
-    result = spec.runner(ctx, op_params)
+    result = _run_operation(ctx, op_cfg["name"], op_cfg.get("params", {}))
     elapsed = time.perf_counter() - started
 
     effective = dict(config)
@@ -502,7 +521,7 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
 
     report = {
         "version": VERSION,
-        "operation": op_name,
+        "operation": op_cfg["name"],
         "config": effective,
         "outputs": outputs,
         "summary": result.summary,
@@ -802,64 +821,47 @@ def _parse_coords(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _sequence_from_args(args: argparse.Namespace) -> groups.FolnerSequence:
-    if args.kind == "z_interval":
-        return groups.z_intervals(anchor=args.anchor)
-    if args.kind == "zd_box":
-        d = groups.group_rank(args.group)
-        return groups.zd_boxes(d)
-    if args.kind == "heisenberg_box":
-        return groups.heisenberg_boxes()
-    raise ConfigError(f"unsupported Folner kind {args.kind!r} for this command")
+def _group_context(args: argparse.Namespace) -> _RunContext:
+    seq = _build_sequence(args.group, {"kind": args.kind, "anchor": args.anchor})
+    return _RunContext(None, seq, None, 0, dict(_DEFAULT_TOLERANCES))
 
 
 def _cmd_defect(args: argparse.Namespace) -> int:
-    seq = _sequence_from_args(args)
-    g = groups.GroupElement(seq.group_id, _parse_coords(args.g))
-    F = seq.subset(args.n)
-    sides = ("left", "right") if args.side == "both" else (args.side,)
-    results = {}
-    for side in sides:
-        fn = groups.folner_defect_left if side == "left" else groups.folner_defect_right
-        results[side] = fn(F, g)
+    ctx = _group_context(args)
+    ctx.indices = (args.n,)
+    coords = _parse_coords(args.g)
+    sides = ["left", "right"] if args.side == "both" else [args.side]
+    rows = _run_operation(
+        ctx, "defect_table", {"elements": [coords], "sides": sides}
+    ).json_payload["rows"]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "group": seq.group_id,
-                    "kind": seq.kind,
-                    "n": args.n,
-                    "g": list(g.coords),
-                    "defects": {k: str(v) for k, v in results.items()},
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "group": ctx.seq.group_id,
+            "kind": ctx.seq.kind,
+            "n": args.n,
+            "g": list(coords),
+            "defects": {row["side"]: row["defect"] for row in rows},
+        }
+        print(json.dumps(payload, sort_keys=True))
     else:
-        for side, value in results.items():
-            print(f"n={args.n} g={args.g} side={side} defect={value}")
+        for row in rows:
+            print(f"n={args.n} g={args.g} side={row['side']} defect={row['defect']}")
     return 0
 
 
 def _cmd_tempered(args: argparse.Namespace) -> int:
-    seq = _sequence_from_args(args)
-    report = groups.temperedness_report(seq, args.upto)
-    payload = {
-        "indices": list(report.indices),
-        "ratios": [str(r) for r in report.ratios],
-        "constant": str(report.constant),
-    }
+    ctx = _group_context(args)
+    payload = _run_operation(ctx, "temperedness", {"upto": args.upto}).json_payload
     if args.extract:
-        picked = groups.extract_tempered_subsequence(
-            seq, Fraction(args.constant), args.extract
-        )
-        payload["extracted"] = list(picked)
+        params = {"constant": args.constant, "count": args.extract}
+        extraction = _run_operation(ctx, "tempered_extraction", params)
+        payload["extracted"] = extraction.json_payload["indices"]
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for n, r in zip(report.indices, report.ratios):
+        for n, r in zip(payload["indices"], payload["ratios"]):
             print(f"n={n} ratio={r}")
-        print(f"constant={report.constant}")
+        print(f"constant={payload['constant']}")
         if args.extract:
             print("extracted=" + ",".join(map(str, payload["extracted"])))
     return 0
@@ -872,56 +874,49 @@ def _point_spec(text: str) -> object:
         return text
 
 
-def _system_from_args(args: argparse.Namespace) -> systems.GSystem:
+def _z_action_context(args: argparse.Namespace) -> _RunContext:
     params = {}
     if args.params:
         try:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--params is not valid JSON: {exc}")
-    return systems.build_system(args.system, params)
+    sys_obj = _build_system({"name": args.system, "params": params})
+    if sys_obj.group_id != "Z":
+        raise ConfigError(
+            f"{args.command} shortcut supports Z-actions; use 'run' otherwise"
+        )
+    seq = _build_sequence("Z", {"kind": "z_interval", "anchor": args.anchor})
+    return _RunContext(
+        sys_obj, seq, None, 0, dict(_DEFAULT_TOLERANCES, metric=args.tol)
+    )
 
 
 def _cmd_wdist(args: argparse.Namespace) -> int:
-    sys_obj = _system_from_args(args)
-    seq = groups.z_intervals(anchor=args.anchor)
-    if sys_obj.group_id != "Z":
-        raise ConfigError("wdist shortcut supports Z-actions; use 'run' otherwise")
-    x = systems.parse_point(sys_obj, _point_spec(args.x))
-    y = systems.parse_point(sys_obj, _point_spec(args.y))
-    F = seq.subset(args.n)
-    mu = measures.empirical_measure(sys_obj, x, F)
-    nu = measures.empirical_measure(sys_obj, y, F)
-    value = transport.wasserstein_empirical(mu, nu, args.tol)
+    ctx = _z_action_context(args)
+    params = {"x": _point_spec(args.x), "y": _point_spec(args.y), "n": args.n}
+    result = _run_operation(ctx, "wdist", params)
     if args.json:
-        print(json.dumps({"n": args.n, "value": value}, sort_keys=True))
+        print(json.dumps(result.json_payload, sort_keys=True))
     else:
-        print(_fmt(value))
+        print(_fmt(result.summary["value"]))
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    sys_obj = _system_from_args(args)
-    if sys_obj.group_id != "Z":
-        raise ConfigError("trace shortcut supports Z-actions; use 'run' otherwise")
-    seq = groups.z_intervals(anchor=args.anchor)
-    x = systems.parse_point(sys_obj, _point_spec(args.x))
-    y = systems.parse_point(sys_obj, _point_spec(args.y))
-    indices = [int(part) for part in args.indices.split(",")]
-    fn = (
-        analysis.wasserstein_trace
-        if args.trace_kind == "wasserstein"
-        else analysis.mean_distance_trace
-    )
-    trace = fn(sys_obj, x, y, seq, indices, args.tol)
+    ctx = _z_action_context(args)
+    ctx.indices = tuple(int(part) for part in args.indices.split(","))
+    params = {"x": _point_spec(args.x), "y": _point_spec(args.y)}
+    result = _run_operation(ctx, f"{args.trace_kind}_trace", params)
     if args.csv:
-        _write_csv(args.csv, *trace.csv_table())
+        _write_csv(args.csv, *result.csv_table)
+    payload = result.json_payload
     if args.json:
-        print(json.dumps(_trace_payload(trace), sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
-        for n, v in zip(trace.indices, trace.values):
+        for n, v in zip(payload["indices"], payload["values"]):
             print(f"n={n} value={_fmt(v)}")
-        print(f"limsup_estimate={_fmt(trace.limsup_estimate)}")
+        print(f"limsup_estimate={_fmt(payload['limsup_estimate'])}")
     return 0
 
 

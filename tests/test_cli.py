@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,36 @@ def test_bad_tolerances_key(tmp_path, capsys):
     expect_exit(["run", "--config", cfg], 2, capsys, "speed")
 
 
+_WDIST = ["wdist", "--system", "rotation", "--x", "0", "--y", "1/8", "--n", "4"]
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, code, needle",
+    [
+        ({"tolerances": {"metric": "1e-9"}}, None, 2, "ConfigError]: tolerances.metric:"),
+        ({"tolerances": {"metric": True}}, None, 2, "ConfigError]: tolerances.metric:"),
+        ({"tolerances": {"rho_terms": 2.5}}, None, 2, "ConfigError]: tolerances.rho_terms:"),
+        ({"tolerances": {"threshold": "0.1"}}, None, 2, "ConfigError]: tolerances.threshold:"),
+        ({"system": {"name": "rotation", "params": [1]}}, None, 2, "ConfigError]: system.params:"),
+        ({"system": {"name": ["rotation"]}}, None, 2, "ConfigError]: system.name:"),
+        ({"operation": {"name": ["wdist"]}}, None, 2, "ConfigError]: operation.name:"),
+        ({"seed": "abc"}, None, 2, "ConfigError]: seed:"),
+        ({"seed": True}, None, 2, "ConfigError]: seed:"),
+        (None, _WDIST + ["--params", "[1]"], 2, "ConfigError]: system.params:"),
+        # the right type with a bad value keeps its runtime check
+        ({"tolerances": {"metric": 0}}, None, 1, "error[ValueError]"),
+    ],
+    ids=["metric-str", "metric-bool", "rho_terms-float", "threshold-str",
+         "params-list", "name-list", "operation-list", "seed-str", "seed-bool",
+         "wdist-params-list", "metric-zero"],
+)
+def test_config_value_types(overrides, argv, code, needle, tmp_path, capsys):
+    if argv is None:
+        argv = ["run", "--config",
+                write_config(tmp_path, "cfg.json", trace_config(**overrides))]
+    expect_exit(argv, code, capsys, needle)
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 
@@ -384,6 +415,22 @@ def test_defect_command_on_z2(capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["defects"]["left"] == "2/7"
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["defect", "--group", "Z^2", "--n", "10", "--g", "1"], "z_interval"),
+        (["tempered", "--group", "Z^2", "--upto", "4"], "z_interval"),
+        (["defect", "--kind", "heisenberg_box", "--n", "2", "--g", "1,0,0"],
+         "heisenberg_box"),
+        (["defect", "--group", "heisenberg", "--kind", "zd_box", "--n", "2",
+          "--g", "1,0,0"], "zd_box"),
+    ],
+)
+def test_shortcut_group_must_agree_with_kind(argv, needle, capsys):
+    err = expect_exit(argv, 2, capsys, "error[ConfigError]")
+    assert needle in err
 
 
 def test_tempered_command_with_extraction(capsys):
@@ -438,6 +485,54 @@ def test_trace_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "mean_distance"
     assert len(payload["values"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["tempered", "--upto", "6", "--extract", "3", "--constant", "3/2"],
+            ["n=2 ratio=1", "n=3 ratio=4/3", "n=4 ratio=3/2", "n=5 ratio=8/5",
+             "n=6 ratio=5/3", "constant=5/3", "extracted=1,2,3"],
+        ),
+        (
+            ["trace", "--system", "rotation", "--x", "0", "--y", "3/10",
+             "--indices", "5,10,20"],
+            ["n=5 value=0.1", "n=10 value=0.0321359549996", "n=20 value=0.02",
+             "limsup_estimate=0.0321359549996"],
+        ),
+        (
+            # the raw --g text is echoed, spaces included
+            ["defect", "--group", "Z^2", "--kind", "zd_box", "--n", "3",
+             "--g", "1, 0"],
+            ["n=3 g=1, 0 side=left defect=2/7", "n=3 g=1, 0 side=right defect=2/7"],
+        ),
+        (
+            ["defect", "--group", "heisenberg", "--kind", "heisenberg_box",
+             "--n", "2", "--g", "1,0,0", "--side", "left"],
+            ["n=2 g=1,0,0 side=left defect=46/75"],
+        ),
+    ],
+)
+def test_shortcut_full_stdout(argv, lines, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("## Command line", 1)[1]
+    commands = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    trace_json = section.split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "trace.json").write_text(trace_json, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in commands.splitlines() if line.startswith("folnerlab ")]
+    assert len(lines) >= 5
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+    assert (tmp_path / "results" / "trace.csv").is_file()
 
 
 # ---------------------------------------------------------------------------
