@@ -20,12 +20,13 @@ from .measures import (
     EmpiricalMeasure,
     Observable,
     ObservableFamily,
+    _measure_on,
     empirical_measure,
     integrate,
     observable_family,
     rho_distance,
 )
-from .systems import GSystem, SystemPoint, metric, pair_point, space_of
+from .systems import GSystem, SystemPoint, metric, orbit_sample, pair_point, space_of
 from .transport import assignment_min, orbit_cost_matrix, wasserstein_empirical
 
 __all__ = [
@@ -62,6 +63,27 @@ def _check_indices(indices: Sequence[int]) -> tuple[int, ...]:
     if any(n < 1 for n in out) or any(a >= b for a, b in zip(out, out[1:])):
         raise ValueError("indices must be positive and strictly increasing")
     return out
+
+
+def _measures_along(
+    sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
+) -> list[EmpiricalMeasure]:
+    """The empirical measures of x over each subset, acting by each g only once.
+
+    The orbit is built over the last subset first and kept in one g -> g*x
+    dict, so for a nested sequence every earlier subset is a lookup; an
+    element outside it is acted on when first met.
+    """
+    points: dict[tuple[int, ...], SystemPoint] = {}
+    measures = []
+    for F in reversed(subsets):
+        missing = tuple(g for g in F if g.coords not in points)
+        if missing:
+            part = F if len(missing) == F.size else FiniteSubset(F.group_id, missing)
+            orbit = orbit_sample(sys, x, part)
+            points.update(zip((g.coords for g in missing), orbit))
+        measures.append(_measure_on(sys, x, F, [points[g.coords] for g in F]))
+    return measures[::-1]
 
 
 @dataclass(frozen=True)
@@ -102,13 +124,10 @@ def wasserstein_trace(
 ) -> PseudometricTrace:
     """values[k] = W(empirical(x, F_{n_k}), empirical(y, F_{n_k}))."""
     indices = _check_indices(indices)
-    values = []
-    for n in indices:
-        F = seq.subset(n)
-        mu = empirical_measure(sys, x, F)
-        nu = empirical_measure(sys, y, F)
-        values.append(wasserstein_empirical(mu, nu, tol))
-    return PseudometricTrace("wasserstein", indices, tuple(values))
+    subsets = [seq.subset(n) for n in indices]
+    mus, nus = _measures_along(sys, x, subsets), _measures_along(sys, y, subsets)
+    values = tuple(wasserstein_empirical(mu, nu, tol) for mu, nu in zip(mus, nus))
+    return PseudometricTrace("wasserstein", indices, values)
 
 
 def mean_distance_trace(
@@ -121,13 +140,10 @@ def mean_distance_trace(
 ) -> PseudometricTrace:
     """values[k] = (1/|F_{n_k}|) * sum over g of d(g*x, g*y)."""
     indices = _check_indices(indices)
-    values = []
-    for n in indices:
-        F = seq.subset(n)
-        mu = empirical_measure(sys, x, F)
-        nu = empirical_measure(sys, y, F)
-        values.append(_mean_distance(sys, mu, nu, tol))
-    return PseudometricTrace("mean_distance", indices, tuple(values))
+    subsets = [seq.subset(n) for n in indices]
+    mus, nus = _measures_along(sys, x, subsets), _measures_along(sys, y, subsets)
+    values = tuple(_mean_distance(sys, mu, nu, tol) for mu, nu in zip(mus, nus))
+    return PseudometricTrace("mean_distance", indices, values)
 
 
 def orbit_permutation_distance(
@@ -470,9 +486,7 @@ def generic_measure_trace(
         raise ValueError("need at least two indices for a Cauchy diagnostic")
     if family is None:
         family = observable_family(sys)
-    measures = tuple(
-        empirical_measure(sys, x, seq.subset(n)) for n in indices
-    )
+    measures = tuple(_measures_along(sys, x, [seq.subset(n) for n in indices]))
     gaps = tuple(
         rho_distance(a, b, family, N).value
         for a, b in zip(measures, measures[1:])
@@ -550,19 +564,18 @@ def uniform_convergence_diagnostic(
 ) -> UniformConvergenceReport:
     if not grid:
         raise ValueError("grid must be nonempty")
-    rows = []
-    averages: dict[int, list[float]] = {}
     for n, m in index_pairs:
         if not 1 <= n < m:
             raise ValueError("index pairs must satisfy 1 <= n < m")
-        for k in (n, m):
-            if k not in averages:
-                F = seq.subset(k)
-                averages[k] = [
-                    integrate(empirical_measure(sys, p, F), f) for p in grid
-                ]
-        sup_gap = max(
-            abs(a - b) for a, b in zip(averages[n], averages[m])
-        )
-        rows.append((n, m, sup_gap))
-    return UniformConvergenceReport(tuple(rows))
+    ks = sorted({k for pair in index_pairs for k in pair})
+    subsets = [seq.subset(k) for k in ks]
+    # grid points outside: one orbit is alive at a time
+    averages: dict[int, list[float]] = {k: [] for k in ks}
+    for p in grid:
+        for k, mu in zip(ks, _measures_along(sys, p, subsets)):
+            averages[k].append(integrate(mu, f))
+    rows = tuple(
+        (n, m, max(abs(a - b) for a, b in zip(averages[n], averages[m])))
+        for n, m in index_pairs
+    )
+    return UniformConvergenceReport(rows)

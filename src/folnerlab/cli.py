@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration failure.
 Every failure prints a single machine-parseable line to stderr:
 ``error[ClassName]: message``.
 
-Configs are strict JSON: unknown keys and values of the wrong type are
-rejected with their key path, and identical config + seed yields
+Configs are strict JSON: unknown keys and values of the wrong type, operation
+params and output paths included, are rejected with their key path before
+the operation runs, and identical config + seed yields
 byte-identical CSV output.  Report files never
 contain wall-clock timings; those go to stdout only.
 """
@@ -23,7 +24,7 @@ import os
 import sys as _sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -88,6 +89,43 @@ def _require(value: object, types: tuple[type, ...], what: str, path: str) -> No
     # bool is a subclass of int, but true/false are not numbers in a config
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"expected {what}, got {json.dumps(value)}", path)
+
+
+def _integer(value: object, path: str) -> None:
+    _require(value, (int,), "an integer", path)
+
+
+def _number(value: object, path: str) -> None:
+    _require(value, (int, float), "a number", path)
+
+
+def _string(value: object, path: str) -> None:
+    _require(value, (str,), "a string", path)
+
+
+def _rational(value: object, path: str) -> None:
+    _require(value, (str, int, float), "a rational number", path)
+
+
+def _any(value: object, path: str) -> None:
+    # points and pair objects are checked where they are parsed
+    pass
+
+
+def _list_of(item: Callable[[object, str], None]) -> Callable[[object, str], None]:
+    def check(value: object, path: str) -> None:
+        _require(value, (list,), "a list", path)
+        for entry in value:
+            item(entry, f"{path}[]")
+
+    return check
+
+
+def _integer_pair(value: object, path: str) -> None:
+    _require(value, (list,), "a pair of integers", path)
+    if len(value) != 2:
+        raise ConfigError(f"expected a pair of integers, got {json.dumps(value)}", path)
+    _list_of(_integer)(value, path)
 
 
 def _build_system(system_cfg: dict) -> systems.GSystem:
@@ -189,7 +227,7 @@ def _op_trace(trace_fn: Callable, ctx: _RunContext, params: dict) -> _OpOutput:
 def _op_wdist(ctx: _RunContext, params: dict) -> _OpOutput:
     x = systems.parse_point(ctx.system, params["x"])
     y = systems.parse_point(ctx.system, params["y"])
-    n = int(params["n"])
+    n = params["n"]
     F = ctx.require_seq().subset(n)
     mu = measures.empirical_measure(ctx.system, x, F)
     nu = measures.empirical_measure(ctx.system, y, F)
@@ -208,7 +246,7 @@ def _op_defect_table(ctx: _RunContext, params: dict) -> _OpOutput:
     rows = []
     worst = Fraction(0)
     for coords in params["elements"]:
-        g = groups.GroupElement(seq.group_id, tuple(int(c) for c in coords))
+        g = groups.GroupElement(seq.group_id, tuple(coords))
         for n in indices:
             F = seq.subset(n)
             for side in sides:
@@ -237,7 +275,7 @@ def _op_defect_table(ctx: _RunContext, params: dict) -> _OpOutput:
 
 
 def _op_temperedness(ctx: _RunContext, params: dict) -> _OpOutput:
-    report = groups.temperedness_report(ctx.require_seq(), int(params["upto"]))
+    report = groups.temperedness_report(ctx.require_seq(), params["upto"])
     rows = [[str(n), str(r)] for n, r in zip(report.indices, report.ratios)]
     return _OpOutput(
         summary={"constant": str(report.constant)},
@@ -252,7 +290,7 @@ def _op_temperedness(ctx: _RunContext, params: dict) -> _OpOutput:
 
 def _op_tempered_extraction(ctx: _RunContext, params: dict) -> _OpOutput:
     indices = groups.extract_tempered_subsequence(
-        ctx.require_seq(), Fraction(str(params["constant"])), int(params["count"])
+        ctx.require_seq(), Fraction(str(params["constant"])), params["count"]
     )
     return _OpOutput(
         summary={"indices": list(indices)},
@@ -289,7 +327,7 @@ def _op_unique_ergodicity(ctx: _RunContext, params: dict) -> _OpOutput:
         ctx.system,
         points,
         ctx.require_seq(),
-        int(params["n"]),
+        params["n"],
         N=ctx.tolerances["rho_terms"],
         threshold=float(params.get("threshold", ctx.tolerances["threshold"])),
         tol=ctx.tolerances["metric"],
@@ -328,7 +366,7 @@ def _op_measure_map_continuity(ctx: _RunContext, params: dict) -> _OpOutput:
         ctx.system,
         grid,
         ctx.require_seq(),
-        int(params["n"]),
+        params["n"],
         N=ctx.tolerances["rho_terms"],
         tol=ctx.tolerances["metric"],
     )
@@ -342,11 +380,10 @@ def _op_measure_map_continuity(ctx: _RunContext, params: dict) -> _OpOutput:
 
 def _op_uniform_convergence(ctx: _RunContext, params: dict) -> _OpOutput:
     family = measures.observable_family(ctx.system)
-    f = family.observable(int(params["observable_index"]))
+    f = family.observable(params["observable_index"])
     grid = [systems.parse_point(ctx.system, p) for p in params["grid"]]
-    index_pairs = [(int(a), int(b)) for a, b in params["index_pairs"]]
     report = analysis.uniform_convergence_diagnostic(
-        ctx.system, f, grid, ctx.require_seq(), index_pairs
+        ctx.system, f, grid, ctx.require_seq(), params["index_pairs"]
     )
     max_gap = max((s for _, _, s in report.rows), default=0.0)
     return _OpOutput(
@@ -358,7 +395,7 @@ def _op_uniform_convergence(ctx: _RunContext, params: dict) -> _OpOutput:
 
 def _op_modulus(ctx: _RunContext, params: dict) -> _OpOutput:
     sampler = analysis.near_pair_sampler(
-        ctx.system, int(params.get("sampler_seed", ctx.seed))
+        ctx.system, params.get("sampler_seed", ctx.seed)
     )
     estimate = analysis.modulus_estimate(
         ctx.system,
@@ -367,7 +404,7 @@ def _op_modulus(ctx: _RunContext, params: dict) -> _OpOutput:
         [float(d) for d in params["deltas"]],
         sampler,
         ctx.require_indices(),
-        pairs_per_delta=int(params.get("pairs_per_delta", 32)),
+        pairs_per_delta=params.get("pairs_per_delta", 32),
         tol=ctx.tolerances["metric"],
     )
     return _OpOutput(
@@ -387,45 +424,57 @@ def _op_modulus(ctx: _RunContext, params: dict) -> _OpOutput:
 
 @dataclass(frozen=True)
 class _OpSpec:
-    runner: Callable[[_RunContext, dict], _OpOutput]
-    required: frozenset[str]
-    optional: frozenset[str] = frozenset()
+    """A runner and the type check of each required and optional param."""
 
+    runner: Callable[[_RunContext, dict], _OpOutput]
+    required: dict[str, Callable[[object, str], None]]
+    optional: dict[str, Callable[[object, str], None]] = field(default_factory=dict)
+
+
+_TRACE_PARAMS = {"x": _any, "y": _any}
 
 _OPERATIONS: dict[str, _OpSpec] = {
     # the analysis attribute is read per call, so wrappers installed on it apply
     "wasserstein_trace": _OpSpec(
         lambda ctx, params: _op_trace(analysis.wasserstein_trace, ctx, params),
-        frozenset({"x", "y"}),
+        _TRACE_PARAMS,
     ),
     "mean_distance_trace": _OpSpec(
         lambda ctx, params: _op_trace(analysis.mean_distance_trace, ctx, params),
-        frozenset({"x", "y"}),
+        _TRACE_PARAMS,
     ),
-    "wdist": _OpSpec(_op_wdist, frozenset({"x", "y", "n"})),
+    "wdist": _OpSpec(_op_wdist, {"x": _any, "y": _any, "n": _integer}),
     "defect_table": _OpSpec(
-        _op_defect_table, frozenset({"elements"}), frozenset({"sides"})
+        _op_defect_table,
+        {"elements": _list_of(_list_of(_integer))},
+        {"sides": _list_of(_string)},
     ),
-    "temperedness": _OpSpec(_op_temperedness, frozenset({"upto"})),
+    "temperedness": _OpSpec(_op_temperedness, {"upto": _integer}),
     "tempered_extraction": _OpSpec(
-        _op_tempered_extraction, frozenset({"constant", "count"})
+        _op_tempered_extraction, {"constant": _rational, "count": _integer}
     ),
-    "coupling_bounds": _OpSpec(_op_coupling_bounds, frozenset({"pairs"})),
+    "coupling_bounds": _OpSpec(_op_coupling_bounds, {"pairs": _any}),
     "unique_ergodicity": _OpSpec(
-        _op_unique_ergodicity, frozenset({"points", "n"}), frozenset({"threshold"})
+        _op_unique_ergodicity,
+        {"points": _list_of(_any), "n": _integer},
+        {"threshold": _number},
     ),
-    "generic_measure_trace": _OpSpec(_op_generic_measure_trace, frozenset({"x"})),
+    "generic_measure_trace": _OpSpec(_op_generic_measure_trace, {"x": _any}),
     "measure_map_continuity": _OpSpec(
-        _op_measure_map_continuity, frozenset({"grid", "n"})
+        _op_measure_map_continuity, {"grid": _list_of(_any), "n": _integer}
     ),
     "uniform_convergence": _OpSpec(
         _op_uniform_convergence,
-        frozenset({"observable_index", "grid", "index_pairs"}),
+        {
+            "observable_index": _integer,
+            "grid": _list_of(_any),
+            "index_pairs": _list_of(_integer_pair),
+        },
     ),
     "modulus": _OpSpec(
         _op_modulus,
-        frozenset({"kind", "deltas"}),
-        frozenset({"pairs_per_delta", "sampler_seed"}),
+        {"kind": _string, "deltas": _list_of(_number)},
+        {"pairs_per_delta": _integer, "sampler_seed": _integer},
     ),
 }
 
@@ -450,10 +499,10 @@ def _run_operation(ctx: _RunContext, op_name: object, op_params: object) -> _OpO
             "operation.name",
         )
     spec = _OPERATIONS[op_name]
-    _check_keys(
-        op_params, set(spec.required | spec.optional), set(spec.required),
-        "operation.params",
-    )
+    checks = spec.required | spec.optional
+    _check_keys(op_params, set(checks), set(spec.required), "operation.params")
+    for key, value in op_params.items():
+        checks[key](value, f"operation.params.{key}")
     return spec.runner(ctx, op_params)
 
 
@@ -498,6 +547,8 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
     _check_keys(op_cfg, {"name", "params"}, {"name"}, "operation")
     output_cfg = config.get("output", {})
     _check_keys(output_cfg, {"csv", "json"}, set(), "output")
+    for key, value in output_cfg.items():
+        _string(value, f"output.{key}")
 
     ctx = _RunContext(sys_obj, seq, indices, seed, tolerances)
     started = time.perf_counter()
@@ -832,7 +883,7 @@ def _cmd_defect(args: argparse.Namespace) -> int:
     coords = _parse_coords(args.g)
     sides = ["left", "right"] if args.side == "both" else [args.side]
     rows = _run_operation(
-        ctx, "defect_table", {"elements": [coords], "sides": sides}
+        ctx, "defect_table", {"elements": [list(coords)], "sides": sides}
     ).json_payload["rows"]
     if args.json:
         payload = {

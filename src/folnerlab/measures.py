@@ -17,6 +17,20 @@ Families (1-based index i):
             off its component
   product   h(x, y) = f_i(x) * g_j(y) with factor indices (i, j) walked along
             anti-diagonals i + j = 1, 2, ... (index 0 means the constant 1)
+
+Every family observable reads a point through a view shared by many
+observables, and is ``on_view(view(p))``:
+  circle    the payload as a float
+  torus     the tuple of coordinate floats
+  shift     the symbol window of radius r (one view per radius)
+  interval  the payload
+  union     (component tag, float)
+  product   the pair of the two factor views
+An empirical measure computes a view once for all its atoms and keeps it, so
+``integrate`` applies only ``on_view`` per atom; the values are bit for bit
+those of ``fn``, which performs the same float operations in the same order.
+Plain callables, and observables built directly from ``fn``, still run on
+every atom.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -55,10 +69,19 @@ class EmpiricalMeasure:
     system: GSystem
     atoms: tuple[SystemPoint, ...]
     origin: tuple[str, str]
+    # view -> [view(a) for a in atoms], filled on first use; not part of the value
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("an empirical measure needs at least one atom")
+
+    def _view(self, view: Callable[[SystemPoint], object]) -> list:
+        try:
+            return self._views[view]
+        except KeyError:
+            values = self._views[view] = [view(a) for a in self.atoms]
+            return values
 
     @property
     def count(self) -> int:
@@ -73,12 +96,18 @@ def empirical_measure(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> Empirica
     """The measure (1/|F|) * sum of point masses at g*x for g in F."""
     if F.size == 0:
         raise ValueError("Folner subset must be nonempty")
-    atoms = tuple(orbit_sample(sys, x, F))
+    return _measure_on(sys, x, F, orbit_sample(sys, x, F))
+
+
+def _measure_on(
+    sys: GSystem, x: SystemPoint, F: FiniteSubset, atoms: Sequence[SystemPoint]
+) -> EmpiricalMeasure:
+    """The empirical measure of x over F, given the orbit atoms g*x for g in F."""
     origin = (
         json.dumps(point_to_dict(sys, x), sort_keys=True),
         f"{F.group_id} subset, size {F.size}",
     )
-    return EmpiricalMeasure(sys, atoms, origin)
+    return EmpiricalMeasure(sys, tuple(atoms), origin)
 
 
 @dataclass(frozen=True)
@@ -108,12 +137,75 @@ class ObservableFamily:
         return self._cache[i - 1]
 
 
-def _trig_pair_gen(value_of: Callable[[SystemPoint], float]) -> Iterator[Observable]:
+@dataclass(frozen=True)
+class _ViewObservable(Observable):
+    """An observable whose fn is on_view(view(p)); measures cache the view."""
+
+    view: Callable[[SystemPoint], object]
+    on_view: Callable[[object], float]
+
+
+def _viewed(
+    name: str,
+    view: Callable[[SystemPoint], object],
+    on_view: Callable[[object], float],
+    sup_norm: float = 1.0,
+) -> Observable:
+    return _ViewObservable(name, sup_norm, lambda p: on_view(view(p)), view, on_view)
+
+
+def _float_payload(p: SystemPoint) -> float:
+    return float(p.payload)
+
+
+def _float_coords(p: SystemPoint) -> tuple[float, ...]:
+    return tuple(float(c) for c in p.payload)
+
+
+def _payload(p: SystemPoint) -> object:
+    return p.payload
+
+
+def _tagged_float(p: SystemPoint) -> tuple[str, float]:
+    return p.payload[0], float(p.payload[1])
+
+
+def _no_view(p: SystemPoint) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The symbols of a shift point at positions -radius..radius.
+
+    Views that compare equal share one cache entry in a measure, so the
+    families of separate observable_family calls share their windows.
+    """
+
+    radius: int
+
+    def __call__(self, p: SystemPoint) -> tuple[int, ...]:
+        word = p.payload
+        return tuple(word.symbol(k) for k in range(-self.radius, self.radius + 1))
+
+
+@dataclass(frozen=True)
+class _PairView:
+    """The two factor views of a product point."""
+
+    left: Callable[[SystemPoint], object]
+    right: Callable[[SystemPoint], object]
+
+    def __call__(self, p: SystemPoint) -> tuple[object, object]:
+        return self.left(p.payload[0]), self.right(p.payload[1])
+
+
+def _circle_gen() -> Iterator[Observable]:
     j = 1
     while True:
         w = _TWO_PI * j
-        yield Observable(f"cos_{j}", 1.0, lambda p, w=w: math.cos(w * value_of(p)))
-        yield Observable(f"sin_{j}", 1.0, lambda p, w=w: math.sin(w * value_of(p)))
+        yield _viewed(f"cos_{j}", _float_payload, lambda v, w=w: math.cos(w * v))
+        yield _viewed(f"sin_{j}", _float_payload, lambda v, w=w: math.sin(w * v))
         j += 1
 
 
@@ -133,63 +225,55 @@ def _torus_gen(d: int) -> Iterator[Observable]:
     for k in _lattice_characters(d):
         label = ",".join(map(str, k))
 
-        def phase(p: SystemPoint, k=k) -> float:
-            return _TWO_PI * sum(ki * float(c) for ki, c in zip(k, p.payload))
+        def phase(v: tuple[float, ...], k=k) -> float:
+            return _TWO_PI * sum(ki * c for ki, c in zip(k, v))
 
-        yield Observable(f"cos[{label}]", 1.0, lambda p, ph=phase: math.cos(ph(p)))
-        yield Observable(f"sin[{label}]", 1.0, lambda p, ph=phase: math.sin(ph(p)))
+        yield _viewed(f"cos[{label}]", _float_coords, lambda v, ph=phase: math.cos(ph(v)))
+        yield _viewed(f"sin[{label}]", _float_coords, lambda v, ph=phase: math.sin(ph(v)))
 
 
 def _cylinder_gen() -> Iterator[Observable]:
     r = 0
     while True:
-        positions = tuple(range(-r, r + 1))
-        for pattern in itertools.product((0, 1), repeat=len(positions)):
-
-            def fn(p: SystemPoint, positions=positions, pattern=pattern) -> float:
-                word = p.payload
-                for pos, sym in zip(positions, pattern):
-                    if word.symbol(pos) != sym:
-                        return 0.0
-                return 1.0
-
+        window = _Window(r)
+        for pattern in itertools.product((0, 1), repeat=2 * r + 1):
             label = "".join(map(str, pattern))
-            yield Observable(f"cyl[{positions[0]}..{positions[-1]}={label}]", 1.0, fn)
+            yield _viewed(
+                f"cyl[{-r}..{r}={label}]",
+                window,
+                lambda v, pattern=pattern: 1.0 if v == pattern else 0.0,
+            )
         r += 1
 
 
 def _monomial_gen() -> Iterator[Observable]:
     j = 1
     while True:
-        yield Observable(f"pow_{j}", 1.0, lambda p, j=j: p.payload**j)
+        yield _viewed(f"pow_{j}", _payload, lambda v, j=j: v**j)
         j += 1
 
 
 def _union_gen() -> Iterator[Observable]:
-    yield Observable("component_a", 1.0, lambda p: 1.0 if p.payload[0] == "a" else 0.0)
+    yield _viewed("component_a", _tagged_float, lambda v: 1.0 if v[0] == "a" else 0.0)
     j = 1
     while True:
         w = _TWO_PI * j
         for tag in ("a", "b"):
-            yield Observable(
+            yield _viewed(
                 f"cos_{j}@{tag}",
-                1.0,
-                lambda p, w=w, tag=tag: math.cos(w * float(p.payload[1]))
-                if p.payload[0] == tag
-                else 0.0,
+                _tagged_float,
+                lambda v, w=w, tag=tag: math.cos(w * v[1]) if v[0] == tag else 0.0,
             )
-            yield Observable(
+            yield _viewed(
                 f"sin_{j}@{tag}",
-                1.0,
-                lambda p, w=w, tag=tag: math.sin(w * float(p.payload[1]))
-                if p.payload[0] == tag
-                else 0.0,
+                _tagged_float,
+                lambda v, w=w, tag=tag: math.sin(w * v[1]) if v[0] == tag else 0.0,
             )
         j += 1
 
 
 def _product_gen(left: ObservableFamily, right: ObservableFamily) -> Iterator[Observable]:
-    one = Observable("one", 1.0, lambda p: 1.0)
+    one = _viewed("one", _no_view, lambda v: 1.0)
 
     def factor(family: ObservableFamily, idx: int) -> Observable:
         return one if idx == 0 else family.observable(idx)
@@ -199,12 +283,11 @@ def _product_gen(left: ObservableFamily, right: ObservableFamily) -> Iterator[Ob
         for i in range(s + 1):
             f = factor(left, i)
             g = factor(right, s - i)
-
-            def fn(p: SystemPoint, f=f, g=g) -> float:
-                return f.fn(p.payload[0]) * g.fn(p.payload[1])
-
-            yield Observable(
-                f"{f.name}*{g.name}", f.sup_norm * g.sup_norm, fn
+            yield _viewed(
+                f"{f.name}*{g.name}",
+                _PairView(f.view, g.view),
+                lambda v, f=f.on_view, g=g.on_view: f(v[0]) * g(v[1]),
+                f.sup_norm * g.sup_norm,
             )
         s += 1
 
@@ -213,7 +296,7 @@ def observable_family(sys: GSystem) -> ObservableFamily:
     """The fixed dense family for this system's space."""
     kind = sys.space_kind
     if kind == "circle":
-        gen = _trig_pair_gen(lambda p: float(p.payload))
+        gen = _circle_gen()
     elif kind == "torus":
         gen = _torus_gen(len(sys.param("alphas")))
     elif kind == "shift":
@@ -241,8 +324,11 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fn = f.fn if isinstance(f, Observable) else f
-    return math.fsum(fn(a) for a in mu.atoms) / mu.count
+    if isinstance(f, _ViewObservable):
+        values = map(f.on_view, mu._view(f.view))
+    else:
+        values = map(f.fn if isinstance(f, Observable) else f, mu.atoms)
+    return math.fsum(values) / mu.count
 
 
 def birkhoff_average(

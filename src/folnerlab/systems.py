@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,6 +231,12 @@ def _offset(rng: random.Random, step: Fraction) -> Fraction:
     return step * Fraction(rng.randint(-999, 999), 1000)
 
 
+def _common_denominator(*values: Fraction) -> tuple[int, list[int]]:
+    """D and the numerators of the values written over D, their common denominator."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 class Space:
     """Everything one space kind knows; each method takes the system first.
 
@@ -239,10 +246,15 @@ class Space:
     distance matrix is ``kernel(U[:, None], V[None])`` and its diagonal is
     ``kernel(U, V)``.  The scalar ``metric`` is separate code on purpose: it
     is the reference the kernel is checked against.  ``near_pair`` draws a
-    pair at distance below delta.
+    pair at distance below delta.  ``orbit`` is ``[act(g, x) for g in
+    elements]``; a kind overrides it where the points share work, and its
+    ``act`` is then the orbit of one element.
     """
 
     kind = ""
+
+    def orbit(self, sys: GSystem, x: SystemPoint, elements) -> list[SystemPoint]:
+        return [self.act(sys, g, x) for g in elements]
 
     def near_pair(self, sys: GSystem, rng: random.Random, delta: float):
         raise UnsupportedCaseError(
@@ -254,11 +266,18 @@ class _Circle(Space):
     kind = "circle"
 
     def act(self, sys, g, x):
-        offset = sum(
-            (gi * ai for gi, ai in zip(g.coords, sys.param("alphas"))),
-            start=Fraction(0),
-        )
-        return SystemPoint(sys.system_id, (x.payload + offset) % 1)
+        return self.orbit(sys, x, (g,))[0]
+
+    def orbit(self, sys, x, elements):
+        # x + sum g_i alpha_i mod 1 in integer numerators over one denominator
+        D, (a, *steps) = _common_denominator(x.payload, *sys.param("alphas"))
+        return [
+            SystemPoint(
+                sys.system_id,
+                Fraction((a + sum(map(operator.mul, g.coords, steps))) % D, D),
+            )
+            for g in elements
+        ]
 
     def metric(self, sys, x, y, tol):
         return _arc(float(x.payload), float(y.payload))
@@ -291,11 +310,22 @@ class _Torus(Space):
     kind = "torus"
 
     def act(self, sys, g, x):
-        alphas = sys.param("alphas")
-        return SystemPoint(
-            sys.system_id,
-            tuple((c + gi * ai) % 1 for c, gi, ai in zip(x.payload, g.coords, alphas)),
-        )
+        return self.orbit(sys, x, (g,))[0]
+
+    def orbit(self, sys, x, elements):
+        # coordinate i moves by g_i * alpha_i; later group coordinates act trivially
+        d = len(x.payload)
+        D, numerators = _common_denominator(*x.payload, *sys.param("alphas"))
+        pairs = tuple(zip(numerators[:d], numerators[d:]))
+        return [
+            SystemPoint(
+                sys.system_id,
+                tuple(
+                    Fraction((c + gi * b) % D, D) for (c, b), gi in zip(pairs, g.coords)
+                ),
+            )
+            for g in elements
+        ]
 
     def metric(self, sys, x, y, tol):
         s = 0.0
@@ -473,6 +503,15 @@ class _Product(Space):
         (a, b), (p, q) = sys.factors, x.payload
         return SystemPoint(sys.system_id, (act(a, g, p), act(b, g, q)))
 
+    def orbit(self, sys, x, elements):
+        (a, b), (p, q) = sys.factors, x.payload
+        if elements:
+            _check_point(a, p)
+            _check_point(b, q)
+        left = space_of(a).orbit(a, p, elements)
+        right = space_of(b).orbit(b, q, elements)
+        return [SystemPoint(sys.system_id, pair) for pair in zip(left, right)]
+
     def metric(self, sys, x, y, tol):
         (a, b), (p1, q1), (p2, q2) = sys.factors, x.payload, y.payload
         half = tol / 2.0
@@ -541,7 +580,7 @@ def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPo
         raise GroupMismatchError(
             f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
         )
-    return [act(sys, g, x) for g in F]
+    return space_of(sys).orbit(sys, x, F.elements)
 
 
 def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> float:

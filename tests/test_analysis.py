@@ -595,3 +595,108 @@ def test_uniform_convergence_validation_and_tables():
     assert header == ["n", "m", "sup_gap"]
     assert rows == [["2", "4", "0"]]
     assert report.to_json_dict()["rows"][0]["sup_gap"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# ergodic diagnostics beyond the rotation, pinned to the last bit
+
+
+def _product_of_rotations():
+    prod = fl.product_system(GOLDEN)
+    return prod, fl.pair_point(prod, cpoint(Fraction(1, 3)), cpoint(Fraction(1, 7)))
+
+
+def _product_of_shifts():
+    sh = fl.full_shift()
+    prod = fl.product_system(sh)
+    x = fl.pair_point(
+        prod,
+        fl.shift_point(sh, fl.RandomWord(5)),
+        fl.shift_point(sh, fl.PeriodicWord((0, 1))),
+    )
+    return prod, x
+
+
+@pytest.mark.parametrize(
+    "make, seq, indices, expected",
+    [
+        (
+            lambda: (fl.full_shift(), fl.shift_point(fl.full_shift(), fl.RandomWord(5))),
+            fl.z_intervals(), [8, 16, 32],
+            (0.033143187294854215, 0.03911412596536934),
+        ),
+        (
+            lambda: (
+                fl.heisenberg_rotation(),
+                fl.torus_point(fl.heisenberg_rotation(), ["1/3", "1/5"]),
+            ),
+            fl.heisenberg_boxes(), [1, 2, 3],
+            (0.012268959798495337, 0.01577246759455346),
+        ),
+        (
+            lambda: (
+                fl.two_rotations(),
+                fl.union_point(fl.two_rotations(), "b", Fraction(2, 7)),
+            ),
+            fl.z_intervals("right"), [5, 10, 20],
+            (0.00038871024252445805, 0.0012028723508539418),
+        ),
+        (
+            _product_of_rotations, fl.z_intervals(), [6, 12, 24],
+            (0.03308138818358978, 0.02639787432124996),
+        ),
+        (
+            _product_of_shifts, fl.z_intervals(), [4, 8, 16],
+            (0.02172869723290205, 0.010929317452848863),
+        ),
+    ],
+    ids=["full_shift", "heisenberg_rotation", "two_rotations", "product-rotation",
+         "product-shift"],
+)
+def test_generic_measure_trace_pinned(make, seq, indices, expected):
+    sys_obj, x = make()
+    trace = fl.generic_measure_trace(sys_obj, x, seq, indices)
+    assert trace.consecutive_rho == expected
+    for n, mu in zip(indices, trace.measures):
+        assert mu == fl.empirical_measure(sys_obj, x, seq.subset(n))
+
+
+def test_zd_rotation_mean_distance_trace_pinned():
+    zd = fl.zd_rotation(["golden", "1/3"])
+    x, y = fl.circle_point(zd, "1/5"), fl.circle_point(zd, "3/4")
+    trace = fl.mean_distance_trace(zd, x, y, fl.zd_boxes(2), [1, 2, 4])
+    assert trace.values == (0.44999999999999996, 0.45, 0.44999999999999996)
+
+
+def test_uniform_convergence_rows_pinned():
+    f = fl.observable_family(GOLDEN).observable(3)
+    grid = [cpoint(Fraction(k, 5)) for k in range(5)]
+    report = fl.uniform_convergence_diagnostic(
+        GOLDEN, f, grid, fl.z_intervals(), [(10, 40), (5, 20), (10, 20)]
+    )
+    assert report.rows == (
+        (10, 40, 0.09493656582577989),
+        (5, 20, 0.17411502309376914),
+        (10, 20, 0.12131616656539677),
+    )
+    un = fl.two_rotations()
+    f = fl.observable_family(un).observable(4)
+    grid = [fl.union_point(un, t, Fraction(k, 3)) for t in "ab" for k in range(3)]
+    report = fl.uniform_convergence_diagnostic(
+        un, f, grid, fl.z_intervals(), [(4, 8), (8, 16)]
+    )
+    assert report.rows == ((4, 8, 0.23342857141762965), (8, 16, 0.0038543646837565695))
+
+
+def test_uniform_convergence_checks_every_pair_before_averaging():
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return 0.0
+
+    with pytest.raises(ValueError, match=r"index pairs must satisfy 1 <= n < m"):
+        fl.uniform_convergence_diagnostic(
+            GOLDEN, f, [cpoint(0)], fl.z_intervals(), [(5, 10), (0, 4)]
+        )
+    assert calls == []

@@ -364,6 +364,45 @@ def test_config_value_types(overrides, argv, code, needle, tmp_path, capsys):
     expect_exit(argv, code, capsys, needle)
 
 
+def _op_config(name, params):
+    return trace_config(operation={"name": name, "params": params})
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        (_op_config("wdist", {"x": "0", "y": "1/8", "n": [1]}), "operation.params.n:"),
+        (_op_config("wdist", {"x": "0", "y": "1/8", "n": "4"}), "operation.params.n:"),
+        (_op_config("defect_table", {"elements": 5}), "operation.params.elements:"),
+        (_op_config("defect_table", {"elements": [[1]], "sides": "left"}),
+         "operation.params.sides:"),
+        (_op_config("temperedness", {"upto": None}), "operation.params.upto:"),
+        (_op_config("tempered_extraction", {"constant": "2", "count": 1.5}),
+         "operation.params.count:"),
+        (_op_config("unique_ergodicity", {"points": ["0"], "n": 4, "threshold": None}),
+         "operation.params.threshold:"),
+        (_op_config("uniform_convergence",
+                    {"observable_index": 1, "grid": ["0"], "index_pairs": [5]}),
+         "operation.params.index_pairs[]:"),
+        (_op_config("modulus", {"kind": "wasserstein", "deltas": 0.1}),
+         "operation.params.deltas:"),
+        (trace_config(output={"csv": 5}), "output.csv:"),
+        (trace_config(output={"json": None}), "output.json:"),
+    ],
+    ids=["wdist-n-list", "wdist-n-str", "defect-elements-int", "defect-sides-str",
+         "tempered-upto-null", "extraction-count-float", "ue-threshold-null",
+         "uniform-pairs-int", "modulus-deltas-float", "output-csv-int",
+         "output-json-null"],
+)
+def test_operation_param_and_output_types(config, needle, tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(folnerlab.analysis, "wasserstein_trace", lambda *a: ran.append(a))
+    cfg = write_config(tmp_path, "cfg.json", config)
+    expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 2, capsys,
+                "error[ConfigError]: " + needle)
+    assert ran == []  # output paths are checked before the operation runs
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 

@@ -406,3 +406,40 @@ def test_measure_csv_table_shapes_and_weights():
             assert len(row) == len(header)
             assert row[-1] == f"1/{F.size}"
             assert all(isinstance(cell, str) for cell in row)
+
+
+@pytest.mark.parametrize(
+    "sys_obj",
+    all_systems() + [
+        fl.heisenberg_rotation(),
+        fl.product_system(fl.full_shift()),
+        fl.product_system(fl.two_rotations()),
+    ],
+    ids=lambda s: s.system_id,
+)
+def test_integrate_through_views_matches_per_atom_fn_bitwise(sys_obj):
+    rng = random.Random(5)
+    fam = observable_family(sys_obj)
+    F = {
+        "Z": fl.z_intervals("right").subset(24),
+        "Z^2": fl.zd_boxes(2).subset(2),
+        "heisenberg": fl.heisenberg_boxes().subset(1),
+    }[sys_obj.group_id]
+    mu = fl.empirical_measure(sys_obj, random_point(rng, sys_obj), F)
+    for i in range(1, 41):
+        f = fam.observable(i)
+        assert fl.integrate(mu, f) == fl.integrate(mu, lambda p: f.fn(p))
+        assert fl.integrate(mu, f) == math.fsum(f(a) for a in mu.atoms) / mu.count
+
+
+def test_filled_view_cache_is_not_part_of_the_measure():
+    sys_obj = fl.full_shift()
+    x = fl.shift_point(sys_obj, fl.RandomWord(3))
+    F = fl.z_intervals().subset(16)
+    used = fl.empirical_measure(sys_obj, x, F)
+    fresh = fl.empirical_measure(sys_obj, x, F)
+    fl.rho_distance(used, delta(sys_obj, x))
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert len({used, fresh}) == 1

@@ -319,6 +319,66 @@ def test_orbit_sample_singleton():
     assert fl.orbit_sample(sys_obj, x, F) == [x]
 
 
+def _circle_reference(x, alphas, g):
+    return (x + sum((gi * a for gi, a in zip(g.coords, alphas)), Fraction(0))) % 1
+
+
+@pytest.mark.parametrize(
+    "sys_obj, seq, n",
+    [
+        (fl.rotation("golden"), fl.z_intervals(), 40),
+        (fl.rotation("3/10"), fl.z_intervals("right"), 40),
+        (fl.zd_rotation(["golden", "1/7"]), fl.zd_boxes(2), 3),
+        (fl.zd_rotation(["2/9", "golden", "5/12"]), fl.zd_boxes(3), 2),
+        (fl.heisenberg_rotation(), fl.heisenberg_boxes(), 2),
+        (fl.heisenberg_rotation("1/6", "3/8"), fl.heisenberg_boxes(), 1),
+        (fl.product_system(fl.rotation("golden")), fl.z_intervals("right"), 30),
+        (fl.product_system(fl.zd_rotation(["1/3", "golden"])), fl.zd_boxes(2), 2),
+    ],
+    ids=lambda v: getattr(v, "system_id", None) or getattr(v, "kind", None) or str(v),
+)
+def test_batch_orbit_equals_elementwise_act_exactly(sys_obj, seq, n):
+    rng = random.Random(11)
+    F = seq.subset(n)
+    for _ in range(3):
+        x = random_point(rng, sys_obj)
+        orbit = fl.orbit_sample(sys_obj, x, F)
+        assert orbit == [fl.act(sys_obj, g, x) for g in F]
+        factors = sys_obj.factors or (sys_obj,)
+        for i, factor in enumerate(factors):
+            alphas = factor.param("alphas")
+            base = x.payload[i] if sys_obj.factors else x
+            for g, p in zip(F, orbit):
+                got = p.payload[i] if sys_obj.factors else p
+                if factor.space_kind == "circle":
+                    expected = (_circle_reference(base.payload, alphas, g),)
+                    got = (got.payload,)
+                else:
+                    expected = tuple(
+                        (c + gi * a) % 1
+                        for c, gi, a in zip(base.payload, g.coords, alphas)
+                    )
+                    got = got.payload
+                assert all(type(c) is Fraction for c in got)
+                assert [(c.numerator, c.denominator) for c in got] == [
+                    (c.numerator, c.denominator) for c in expected
+                ]
+
+
+def test_batch_orbit_keeps_group_checks():
+    rot = fl.rotation("golden")
+    x = fl.circle_point(rot, Fraction(1, 3))
+    with pytest.raises(GroupMismatchError, match="Folner subset over 'Z\\^2' cannot act"):
+        fl.orbit_sample(rot, x, fl.zd_boxes(2).subset(1))
+    heis = fl.heisenberg_rotation()
+    with pytest.raises(GroupMismatchError, match="is acted on by 'heisenberg', not 'Z'"):
+        fl.act(heis, fl.element("Z", 1), fl.torus_point(heis, [0, 0]))
+    prod = fl.product_system(rot)
+    with pytest.raises(GroupMismatchError):
+        fl.orbit_sample(prod, fl.pair_point(prod, x, x), fl.zd_boxes(2).subset(1))
+    assert fl.orbit_sample(rot, x, fl.FiniteSubset("Z", ())) == []
+
+
 def test_sturmian_orbit_matches_rotation_coding():
     # shifting the word corresponds to rotating the coding base point
     sys_obj = fl.full_shift()
