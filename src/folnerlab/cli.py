@@ -130,7 +130,7 @@ def _integer_pair(value: object, path: str) -> None:
 
 def _build_system(system_cfg: dict) -> systems.GSystem:
     _check_keys(system_cfg, {"name", "params"}, {"name"}, "system")
-    _require(system_cfg["name"], (str,), "a string", "system.name")
+    _string(system_cfg["name"], "system.name")
     params = system_cfg.get("params", {})
     _require(params, (dict,), "an object", "system.params")
     return systems.build_system(system_cfg["name"], params)
@@ -491,7 +491,7 @@ def _load_config(path: str) -> dict:
 
 def _run_operation(ctx: _RunContext, op_name: object, op_params: object) -> _OpOutput:
     """Validate one ``_OPERATIONS`` entry's name and params, then run it."""
-    _require(op_name, (str,), "a string", "operation.name")
+    _string(op_name, "operation.name")
     if op_name not in _OPERATIONS:
         known = ", ".join(sorted(_OPERATIONS))
         raise ConfigError(
@@ -533,13 +533,13 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
         )
         for key, value in config["tolerances"].items():
             if key == "rho_terms":
-                _require(value, (int,), "an integer", "tolerances.rho_terms")
+                _integer(value, "tolerances.rho_terms")
             else:
-                _require(value, (int, float), "a number", f"tolerances.{key}")
+                _number(value, f"tolerances.{key}")
         tolerances.update(config["tolerances"])
 
     seed = config.get("seed", 0)
-    _require(seed, (int,), "an integer", "seed")
+    _integer(seed, "seed")
     if seed_override is not None:
         seed = seed_override
 

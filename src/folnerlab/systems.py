@@ -500,8 +500,7 @@ class _Product(Space):
     kind = "product"
 
     def act(self, sys, g, x):
-        (a, b), (p, q) = sys.factors, x.payload
-        return SystemPoint(sys.system_id, (act(a, g, p), act(b, g, q)))
+        return self.orbit(sys, x, (g,))[0]
 
     def orbit(self, sys, x, elements):
         (a, b), (p, q) = sys.factors, x.payload
