@@ -274,18 +274,16 @@ def coupling_bounds_check(
         raise UnsupportedCaseError("coupling_bounds_check needs a product system")
     base = sys.factors[0]
     indices = _check_indices(indices)
+    subsets = [seq.subset(n) for n in indices]
     rows = []
     for pi, (z1, z2) in enumerate(pairs):
-        for n in indices:
-            F = seq.subset(n)
-            mu1 = empirical_measure(sys, z1, F)
-            mu2 = empirical_measure(sys, z2, F)
+        mus1 = _measures_along(sys, z1, subsets)
+        mus2 = _measures_along(sys, z2, subsets)
+        _, y1 = z1.payload
+        mus_diag = _measures_along(sys, pair_point(sys, y1, y1), subsets)
+        for n, F, mu1, mu2, mu_diag in zip(indices, subsets, mus1, mus2, mus_diag):
             w_product = wasserstein_empirical(mu1, mu2, tol)
             diagonal_mean = _mean_distance(sys, mu1, mu2, tol)
-
-            x1, y1 = z1.payload
-            diag = pair_point(sys, y1, y1)
-            mu_diag = empirical_measure(sys, diag, F)
             w_to_diagonal = wasserstein_empirical(mu1, mu_diag, tol)
             per_entry = tol / F.size
             base_mean = (

@@ -693,6 +693,44 @@ def _suite_temperedness() -> list[_Check]:
             f"indices {picked}",
         )
     )
+
+    report = groups.temperedness_report(groups.zd_boxes(2), 16)
+    ok = all(
+        r == Fraction(4 * n - 1, 2 * n + 1) ** 2
+        for n, r in zip(report.indices, report.ratios)
+    )
+    checks.append(
+        _Check("Z^2 boxes: ratio ((4n-1)/(2n+1))^2 up to n=16", ok, "exact")
+    )
+
+    # brute force over coordinate tuples; the 2^33 pair is counted on the
+    # exact tuple path, since its Heisenberg c-products pass int64
+    big = 2**33
+    wide = groups.explicit_sequence(
+        [
+            groups.FiniteSubset.from_coords("heisenberg", rows)
+            for rows in ([[0, 0, 0], [big, 1, 0]], [[0, 0, 0], [1, big, 0]])
+        ]
+    )
+    ok = True
+    for seq, upto in ((groups.heisenberg_boxes(), 3), (wide, 2)):
+        report = groups.temperedness_report(seq, upto)
+        for n, r in zip(report.indices, report.ratios):
+            F = seq.subset(n)
+            union = {
+                groups.multiply(groups.inverse(a), b).coords
+                for k in range(1, n)
+                for a in seq.subset(k)
+                for b in F
+            }
+            ok &= r == Fraction(len(union), F.size)
+    checks.append(
+        _Check(
+            "Heisenberg ratios match brute force (boxes n<=3, 2^33 coordinates)",
+            ok,
+            "exact",
+        )
+    )
     return checks
 
 

@@ -7,12 +7,26 @@ coordinates (a, b, c) with law (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b')).
 All counting quantities (averaging-set defects, temperedness ratios) are
 exact rationals; coordinates are arbitrary-precision integers, so nothing
 can overflow silently.
+
+How the counts are made.  Each count is the size of a product set A*B:
+|gF sym-diff F| = 2(|{e, g}F| - |F|) because translation is a bijection,
+and the temperedness union is (union of F_k^{-1}) F_n.  When the
+coordinates fit in int64, every product a*b is packed into one int64 key
+over the box that holds all products, as ka + kb plus, for the Heisenberg
+group, a0*b1 in the c-column; no product coordinates are formed.  Keys
+are marked on a bool bitmap when the box has at most 2^24 cells, and
+otherwise collected as unique keys in a set.  Exact Python-int bounds are
+checked before each int64 step (inverses, the a0*b1 corners, a box under
+2^62 cells), so no step can wrap.  When a check fails, or a coordinate
+does not fit in int64, the products are counted as a set of Python-int
+tuples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +65,10 @@ _HEISENBERG = "heisenberg"
 
 # Keys for set cardinality are packed into int64; stay clear of the edge.
 _PACK_LIMIT = 1 << 62
-_CHUNK_CELLS = 4_000_000
+# Product keys are formed in chunks of at most this many cells (8 MB of int64).
+_CHUNK_CELLS = 1_000_000
+# Key ranges up to this many cells are counted on a bool bitmap (16 MB).
+_BITMAP_CELLS = 1 << 24
 
 
 def group_rank(group_id: str) -> int:
@@ -115,6 +132,14 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.group_id, _inv_coords(g.group_id, g.coords))
 
 
+def _rows(rows: Sequence[Sequence[int]], rank: int) -> np.ndarray:
+    """Coordinate rows as int64, or as Python ints (dtype object) if one does not fit."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), rank)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), rank)
+
+
 @dataclass(frozen=True)
 class FiniteSubset:
     """A finite subset of a group with a fixed enumeration order."""
@@ -147,9 +172,8 @@ class FiniteSubset:
         return {g.coords for g in self.elements}
 
     def coords_array(self) -> np.ndarray:
-        return np.array([g.coords for g in self.elements], dtype=np.int64).reshape(
-            self.size, group_rank(self.group_id)
-        )
+        """The coordinates as int64 rows, or as Python ints if one does not fit."""
+        return _rows([g.coords for g in self.elements], group_rank(self.group_id))
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
@@ -196,20 +220,27 @@ def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
     return len(A.coord_set() ^ B.coord_set())
 
 
-def folner_defect_left(F: FiniteSubset, g: GroupElement) -> Fraction:
-    """|gF symmetric-difference F| / |F| as an exact rational."""
+def _defect(F: FiniteSubset, g: GroupElement, left: bool) -> Fraction:
+    # Translation is a bijection, so |gF sym-diff F| = 2(|gF union F| - |F|),
+    # and gF union F is the product set {e, g}F (F{e, g} on the right).
     if F.size == 0:
         raise ValueError("defect of an empty subset is undefined")
-    shifted = translate_left(g, F)
-    return Fraction(symmetric_difference_size(shifted, F), F.size)
+    _check_same_group(g.group_id, F.group_id)
+    gid = F.group_id
+    eg = _rows([identity(gid).coords, g.coords], group_rank(gid))
+    X = F.coords_array()
+    union = _product_size(gid, eg, X) if left else _product_size(gid, X, eg)
+    return Fraction(2 * (union - F.size), F.size)
+
+
+def folner_defect_left(F: FiniteSubset, g: GroupElement) -> Fraction:
+    """|gF symmetric-difference F| / |F| as an exact rational."""
+    return _defect(F, g, left=True)
 
 
 def folner_defect_right(F: FiniteSubset, g: GroupElement) -> Fraction:
     """|F symmetric-difference Fg| / |F| as an exact rational."""
-    if F.size == 0:
-        raise ValueError("defect of an empty subset is undefined")
-    shifted = translate_right(F, g)
-    return Fraction(symmetric_difference_size(shifted, F), F.size)
+    return _defect(F, g, left=False)
 
 
 # ---------------------------------------------------------------------------
@@ -349,84 +380,81 @@ class TemperednessReport:
         return self.constant <= C
 
 
-def _pairwise_products(gid: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All products a*b for rows a of A, b of B; shape (len(A)*len(B), rank)."""
-    m, p = len(A), len(B)
+def _fits(lo: int, hi: int) -> bool:
+    return -(2**63) <= lo and hi < 2**63
+
+
+def _column_bounds(X: np.ndarray) -> list[tuple[int, int]]:
+    return [(int(lo), int(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+
+
+def _product_range(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    corners = [a * b for a in x for b in y]
+    return min(corners), max(corners)
+
+
+def _inv_rows(gid: str, X: np.ndarray) -> np.ndarray:
+    """Rows f^{-1} for the rows f of X; int64 only where no step can wrap."""
+    if X.dtype == np.int64:
+        bounds = _column_bounds(X)
+        fits = all(_fits(-hi, -lo) for lo, hi in bounds)
+        if fits and gid == _HEISENBERG:
+            ab_lo, ab_hi = _product_range(bounds[0], bounds[1])
+            fits = _fits(ab_lo, ab_hi) and _fits(ab_lo - bounds[2][1], ab_hi - bounds[2][0])
+        if not fits:
+            X = X.astype(object)
+    out = -X
     if gid == _HEISENBERG:
-        out = np.empty((m, p, 3), dtype=A.dtype)
-        out[:, :, 0] = A[:, None, 0] + B[None, :, 0]
-        out[:, :, 1] = A[:, None, 1] + B[None, :, 1]
-        out[:, :, 2] = A[:, None, 2] + B[None, :, 2] + A[:, None, 0] * B[None, :, 1]
-    else:
-        out = A[:, None, :] + B[None, :, :]
-    return out.reshape(m * p, A.shape[1])
+        out[:, 2] = X[:, 0] * X[:, 1] - X[:, 2]
+    return out
 
 
-def _product_bounds(gid: str, A: np.ndarray, B: np.ndarray) -> list[tuple[int, int]]:
-    """Componentwise interval bounds for the products A*B."""
-    alo, ahi = A.min(axis=0), A.max(axis=0)
-    blo, bhi = B.min(axis=0), B.max(axis=0)
-    bounds = [(int(alo[i] + blo[i]), int(ahi[i] + bhi[i])) for i in range(A.shape[1])]
-    if gid == _HEISENBERG:
-        corners = [
-            int(x) * int(y)
-            for x in (alo[0], ahi[0])
-            for y in (blo[1], bhi[1])
-        ]
-        lo, hi = bounds[2]
-        bounds[2] = (lo + min(corners), hi + max(corners))
-    return bounds
+def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
+    """|{a*b : a a row of A, b a row of B}|, counted exactly (module docstring).
 
-
-class _UnionCardinality:
-    """Incrementally accumulates |union of product sets| with exact counting.
-
-    Products are packed into int64 keys when the coordinate ranges allow it
-    (fast numpy path, chunked); otherwise falls back to a plain set of
-    coordinate tuples.
+    The key of a*b is ka + kb, plus a0*b1 - min(a0*b1) in the Heisenberg
+    c-column, where ka and kb pack A - min(A) and B - min(B) over the box of
+    all products.  Every partial sum is nonnegative and at most the final key,
+    which is below the box size, and the a0*b1 corners are checked to fit.
     """
+    rank = A.shape[1]
+    c_lo = c_hi = 0
+    packable = A.dtype == np.int64 and B.dtype == np.int64
+    if packable:
+        a_bounds, b_bounds = _column_bounds(A), _column_bounds(B)
+        if gid == _HEISENBERG:
+            c_lo, c_hi = _product_range(a_bounds[0], b_bounds[1])
+            packable = _fits(c_lo, c_hi)
+        ranges = [ah - al + bh - bl + 1 for (al, ah), (bl, bh) in zip(a_bounds, b_bounds)]
+        ranges[-1] += c_hi - c_lo  # the Heisenberg c-column is the last one
+        cells = math.prod(ranges)
+        packable = packable and cells < _PACK_LIMIT
+    if not packable:
+        B_list = B.tolist()
+        return len({_mul_coords(gid, a, b) for a in A.tolist() for b in B_list})
 
-    def __init__(self, gid: str, bounds: list[tuple[int, int]]):
-        self.gid = gid
-        # Bounds are exact Python ints; they also decide whether int64
-        # product arithmetic can wrap (it must never wrap silently).
-        self.fits_int64 = all(
-            -(2**63) < lo and hi < 2**63 for lo, hi in bounds
-        )
-        ranges = [hi - lo + 1 for lo, hi in bounds]
-        total = 1
-        for r in ranges:
-            total *= r
-        self.packable = self.fits_int64 and total < _PACK_LIMIT
-        self.lows = np.array(
-            [lo for lo, _ in bounds],
-            dtype=np.int64 if self.fits_int64 else object,
-        )
-        self.strides = None
-        if self.packable:
-            strides = [1] * len(ranges)
-            for i in range(len(ranges) - 2, -1, -1):
-                strides[i] = strides[i + 1] * ranges[i + 1]
-            self.strides = np.array(strides, dtype=np.int64)
-        self.keys: set[int] = set()
-        self.tuples: set[tuple[int, ...]] = set()
-
-    def add_products(self, A: np.ndarray, B: np.ndarray) -> None:
-        if not self.fits_int64:
-            A = A.astype(object)
-            B = B.astype(object)
-        p = max(len(B), 1)
-        step = max(_CHUNK_CELLS // p, 1)
-        for start in range(0, len(A), step):
-            block = _pairwise_products(self.gid, A[start : start + step], B)
-            if self.packable:
-                packed = (block - self.lows) @ self.strides
-                self.keys.update(np.unique(packed).tolist())
-            else:
-                self.tuples.update(map(tuple, block.tolist()))
-
-    def cardinality(self) -> int:
-        return len(self.keys) if self.packable else len(self.tuples)
+    strides = np.array(
+        [math.prod(ranges[i + 1 :]) for i in range(rank)], dtype=np.int64
+    )
+    ka = (A - A.min(axis=0)) @ strides
+    kb = (B - B.min(axis=0)) @ strides
+    bitmap = np.zeros(cells, dtype=bool) if cells <= _BITMAP_CELLS else None
+    keys: set[int] = set()
+    step = max(_CHUNK_CELLS // len(B), 1)
+    for start in range(0, len(A), step):
+        stop = start + step
+        if gid == _HEISENBERG:
+            block = np.multiply.outer(A[start:stop, 0], B[:, 1])
+            block -= c_lo
+            block += ka[start:stop, None]
+            block += kb[None, :]
+        else:
+            block = ka[start:stop, None] + kb[None, :]
+        if bitmap is not None:
+            bitmap[block.ravel()] = True
+        else:
+            keys.update(np.unique(block).tolist())
+    return int(np.count_nonzero(bitmap)) if bitmap is not None else len(keys)
 
 
 def temperedness_report(seq: FolnerSequence, upto: int) -> TemperednessReport:
@@ -442,39 +470,29 @@ def temperedness_report(seq: FolnerSequence, upto: int) -> TemperednessReport:
     if max_n is not None and upto > max_n:
         raise IndexError(f"sequence has only {max_n} subsets")
 
+    gid = seq.group_id
     subsets = [seq.subset(n) for n in range(1, upto + 1)]
-    inv_arrays = [invert_subset(S).coords_array() for S in subsets]
-    coord_sets = [S.coord_set() for S in subsets]
+    rows = [S.coords_array() for S in subsets]
+    inverses = [_inv_rows(gid, X) for X in rows]
+    e = _rows([identity(gid).coords], group_rank(gid))
 
     nested_through = 1
     for k in range(1, upto):
-        if coord_sets[k - 1] <= coord_sets[k]:
+        # F_k lies in F_{k+1} exactly when their union is no larger than F_{k+1}
+        if _product_size(gid, np.vstack(rows[k - 1 : k + 1]), e) == subsets[k].size:
             nested_through = k + 1
         else:
             break
 
     indices, ratios = [], []
     for n in range(2, upto + 1):
-        F_n = subsets[n - 1].coords_array()
         contributing = (
-            [inv_arrays[n - 2]] if nested_through >= n - 1 else inv_arrays[: n - 1]
+            inverses[n - 2 : n - 1] if nested_through >= n - 1 else inverses[: n - 1]
         )
-        bounds = _product_bounds(seq.group_id, np.vstack(contributing), F_n)
-        acc = _UnionCardinality(seq.group_id, bounds)
-        for inv in contributing:
-            acc.add_products(inv, F_n)
+        card = _product_size(gid, np.vstack(contributing), rows[n - 1])
         indices.append(n)
-        ratios.append(Fraction(acc.cardinality(), subsets[n - 1].size))
+        ratios.append(Fraction(card, subsets[n - 1].size))
     return TemperednessReport(tuple(indices), tuple(ratios), max(ratios))
-
-
-def _union_product_cardinality(
-    gid: str, accumulated_inv: np.ndarray, F: np.ndarray
-) -> int:
-    bounds = _product_bounds(gid, accumulated_inv, F)
-    acc = _UnionCardinality(gid, bounds)
-    acc.add_products(accumulated_inv, F)
-    return acc.cardinality()
 
 
 def extract_tempered_subsequence(
@@ -506,21 +524,17 @@ def extract_tempered_subsequence(
         budget = 10 * last
         if max_n is not None:
             budget = min(budget, max_n)
-        inv_arr = np.array(
-            [_inv_coords(gid, t) for t in sorted(union_coords)], dtype=np.int64
-        )
-        found = None
+        inv = _inv_rows(gid, _rows(list(union_coords), group_rank(gid)))
         for m in range(last + 1, budget + 1):
             F_m = seq.subset(m)
-            card = _union_product_cardinality(gid, inv_arr, F_m.coords_array())
+            card = _product_size(gid, inv, F_m.coords_array())
             if card * C.denominator <= C.numerator * F_m.size:
-                found = m
                 break
-        if found is None:
+        else:
             raise SearchBudgetExceededError(
                 f"no admissible index in ({last}, {budget}] for C={C} "
                 f"after choosing {tuple(chosen)}"
             )
-        chosen.append(found)
-        union_coords |= seq.subset(found).coord_set()
+        chosen.append(m)
+        union_coords |= F_m.coord_set()
     return tuple(chosen)

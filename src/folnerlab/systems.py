@@ -421,7 +421,20 @@ class _Interval(Space):
     kind = "interval"
 
     def act(self, sys, g, x):
-        return SystemPoint(sys.system_id, _interval_power(x.payload, g.coords[0]))
+        return self.orbit(sys, x, (g,))[0]
+
+    def orbit(self, sys, x, elements):
+        # g*x is one power step from the nearest exponent between 0 and g;
+        # powers of one sign compose exactly, so each point is bit-identical
+        # to iterating |g| times from x
+        at = {0: x.payload}
+        exponents = sorted({g.coords[0] for g in elements})
+        for side in ([n for n in exponents if n > 0], [n for n in exponents[::-1] if n < 0]):
+            prev = 0
+            for n in side:
+                at[n] = _interval_power(at[prev], n - prev)
+                prev = n
+        return [SystemPoint(sys.system_id, at[g.coords[0]]) for g in elements]
 
     def metric(self, sys, x, y, tol):
         return abs(x.payload - y.payload)

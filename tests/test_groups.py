@@ -412,3 +412,118 @@ def test_extraction_budget_exhaustion_is_loud():
 def test_extraction_requires_constant_above_one():
     with pytest.raises(ValueError):
         fl.extract_tempered_subsequence(fl.z_intervals(), Fraction(1), 2)
+
+
+# ---------------------------------------------------------------------------
+# packed-key counting against plain sets of coordinate tuples
+
+
+def naive_ratios(subsets, gid):
+    ratios = []
+    for n in range(2, len(subsets) + 1):
+        union = naive_product_set(
+            gid,
+            {naive_inv(gid, a) for S in subsets[: n - 1] for a in S},
+            subsets[n - 1],
+        )
+        ratios.append(Fraction(len(union), len(subsets[n - 1])))
+    return ratios
+
+
+def naive_defects(gid, F, g):
+    left = {naive_mul(gid, g, f) for f in F}
+    right = {naive_mul(gid, f, g) for f in F}
+    return Fraction(len(left ^ F), len(F)), Fraction(len(right ^ F), len(F))
+
+
+def assert_counts_match_naive(gid, subsets, elements):
+    seq = fl.explicit_sequence(
+        [fl.FiniteSubset.from_coords(gid, S, sort=False) for S in subsets]
+    )
+    report = fl.temperedness_report(seq, len(subsets))
+    assert list(report.ratios) == naive_ratios(subsets, gid)
+    for F in seq.subsets:
+        for g in elements:
+            left, right = naive_defects(gid, F.coord_set(), g)
+            assert fl.folner_defect_left(F, fl.element(gid, *g)) == left
+            assert fl.folner_defect_right(F, fl.element(gid, *g)) == right
+
+
+@pytest.mark.parametrize("gid", ["Z^2", "Z^3", "heisenberg"])
+def test_random_non_box_subsets_match_tuple_sets(gid):
+    rng = random.Random(29)
+    rank = fl.group_rank(gid)
+    for _ in range(12):
+        subsets = [
+            sorted({tuple(rng.randint(-6, 6) for _ in range(rank))
+                    for _ in range(rng.randint(1, 40))})
+            for _ in range(rng.randint(2, 5))
+        ]
+        elements = [tuple(rng.randint(-7, 7) for _ in range(rank)) for _ in range(3)]
+        assert_counts_match_naive(gid, subsets, elements)
+
+
+def test_random_nested_subsets_match_tuple_sets():
+    # nested sequences take the single-inverse branch of the report
+    rng = random.Random(31)
+    for gid in ("Z^2", "heisenberg"):
+        rank = fl.group_rank(gid)
+        for _ in range(8):
+            grown, subsets = set(), []
+            for _ in range(4):
+                grown |= {tuple(rng.randint(-5, 5) for _ in range(rank))
+                          for _ in range(rng.randint(1, 25))}
+                subsets.append(sorted(grown))
+            assert_counts_match_naive(gid, subsets, [(1,) * rank])
+
+
+def test_heisenberg_defects_with_2_pow_33_coordinates():
+    # a0*b1 reaches 2^66 here: the int64 guards must hand these to exact tuples
+    big = 2**33
+    rng = random.Random(37)
+    for _ in range(20):
+        F = sorted({(rng.choice((0, big, -big)) + rng.randint(-2, 2),
+                     rng.choice((0, big, -big)) + rng.randint(-2, 2),
+                     rng.randint(-3, 3)) for _ in range(rng.randint(1, 12))})
+        g = (rng.choice((1, big, -big)), rng.choice((1, big, -big)), rng.randint(-3, 3))
+        assert_counts_match_naive("heisenberg", [F, F[: len(F) // 2 + 1]], [g])
+
+
+def test_z_coordinates_beyond_int64_are_exact():
+    big = 2**70
+    subsets = [[(big,)], [(0,), (big,), (-big,)], [(k * big,) for k in range(-3, 5)]]
+    assert_counts_match_naive("Z", subsets, [(1,), (big,), (-(2**63),)])
+    seq = fl.explicit_sequence(
+        [fl.FiniteSubset.from_coords("Z", [[k] for k in range(big, big + n)])
+         for n in range(1, 8)]
+    )
+    assert fl.extract_tempered_subsequence(seq, Fraction(2), 5) == (1, 2, 3, 4, 5)
+
+
+def test_int64_edge_coordinates_are_exact():
+    # inverses and product keys of these overflow int64 unless guarded
+    lo, hi = -(2**63), 2**63 - 1
+    assert_counts_match_naive("Z", [[(lo,), (hi,)], [(lo,), (0,), (hi,)]], [(1,), (hi,)])
+    assert_counts_match_naive(
+        "heisenberg",
+        [[(0, 0, lo), (1, 1, hi)], [(0, 0, lo), (2**31, 2**32, 0), (1, 1, hi)]],
+        [(2**32, 2**31, 1)],
+    )
+    # a small box of c-values that all lie past int64: a0*b1 = 2^64 + k*2^32
+    assert_counts_match_naive(
+        "heisenberg",
+        [[(-(2**32), 0, 0)], [(0, 2**32, 0), (0, 2**32 + 1, 5), (0, 2**32, 2)]],
+        [(0, 0, 1)],
+    )
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_packed_range_around_the_bitmap_cap(extra):
+    # the product box of {0} with {0, cap + extra - 1} has cap + extra cells:
+    # up to the cap it is counted on the bitmap, past it as a set of keys
+    cap = fl.groups._BITMAP_CELLS
+    far = cap + extra - 1
+    subsets = [[(0,)], [(0,), (far,), (far - 5,)], [(3,), (far,)]]
+    assert_counts_match_naive("Z", subsets, [(5,), (far,)])
+    subsets = [[(0, 0)], [(0, 0), (1, far // 2), (0, 7)]]
+    assert_counts_match_naive("Z^2", subsets, [(1, 0), (0, far // 2)])

@@ -188,6 +188,25 @@ def test_interval_action_hits_fixed_points():
     assert fl.act(sys_obj, fl.element("Z", -1), backward) == backward
 
 
+def test_interval_orbit_on_unsorted_gapped_elements_equals_act():
+    # the orbit steps between neighbouring exponents; every point must still
+    # be bit-identical to acting by its own element, fixed points included
+    sys_obj = fl.interval_square()
+    rng = random.Random(17)
+    for _ in range(40):
+        coords = rng.sample(range(-250, 251), rng.randint(1, 30))
+        if rng.random() < 0.5:
+            coords.append(0)
+        F = fl.FiniteSubset.from_coords("Z", [[k] for k in set(coords)], sort=False)
+        F = fl.FiniteSubset("Z", tuple(rng.sample(F.elements, F.size)))
+        x = random_point(rng, sys_obj)
+        orbit = fl.orbit_sample(sys_obj, x, F)
+        assert [p.payload for p in orbit] == [fl.act(sys_obj, g, x).payload for g in F]
+        assert [p.payload for p in orbit] == [
+            naive_square_chain(x.payload, g.coords[0])[0] for g in F
+        ]
+
+
 def test_act_rejects_mismatched_ids():
     rot = fl.rotation("golden")
     other = fl.rotation("1/3")
