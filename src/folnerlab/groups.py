@@ -133,7 +133,7 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def _rows(rows: Sequence[Sequence[int]], rank: int) -> np.ndarray:
-    """Coordinate rows as int64, or as Python ints (dtype object) if one does not fit."""
+    """Coordinate rows as int64, or as Python ints (dtype object) if one won't fit."""
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), rank)
     except OverflowError:
@@ -400,7 +400,8 @@ def _inv_rows(gid: str, X: np.ndarray) -> np.ndarray:
         fits = all(_fits(-hi, -lo) for lo, hi in bounds)
         if fits and gid == _HEISENBERG:
             ab_lo, ab_hi = _product_range(bounds[0], bounds[1])
-            fits = _fits(ab_lo, ab_hi) and _fits(ab_lo - bounds[2][1], ab_hi - bounds[2][0])
+            c_lo, c_hi = bounds[2]
+            fits = _fits(ab_lo, ab_hi) and _fits(ab_lo - c_hi, ab_hi - c_lo)
         if not fits:
             X = X.astype(object)
     out = -X
@@ -425,7 +426,9 @@ def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
         if gid == _HEISENBERG:
             c_lo, c_hi = _product_range(a_bounds[0], b_bounds[1])
             packable = _fits(c_lo, c_hi)
-        ranges = [ah - al + bh - bl + 1 for (al, ah), (bl, bh) in zip(a_bounds, b_bounds)]
+        ranges = [
+            ah - al + bh - bl + 1 for (al, ah), (bl, bh) in zip(a_bounds, b_bounds)
+        ]
         ranges[-1] += c_hi - c_lo  # the Heisenberg c-column is the last one
         cells = math.prod(ranges)
         packable = packable and cells < _PACK_LIMIT

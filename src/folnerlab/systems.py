@@ -429,7 +429,9 @@ class _Interval(Space):
         # to iterating |g| times from x
         at = {0: x.payload}
         exponents = sorted({g.coords[0] for g in elements})
-        for side in ([n for n in exponents if n > 0], [n for n in exponents[::-1] if n < 0]):
+        positive = [n for n in exponents if n > 0]
+        negative = [n for n in reversed(exponents) if n < 0]
+        for side in (positive, negative):
             prev = 0
             for n in side:
                 at[n] = _interval_power(at[prev], n - prev)

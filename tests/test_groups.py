@@ -525,5 +525,3 @@ def test_packed_range_around_the_bitmap_cap(extra):
     far = cap + extra - 1
     subsets = [[(0,)], [(0,), (far,), (far - 5,)], [(3,), (far,)]]
     assert_counts_match_naive("Z", subsets, [(5,), (far,)])
-    subsets = [[(0, 0)], [(0, 0), (1, far // 2), (0, 7)]]
-    assert_counts_match_naive("Z^2", subsets, [(1, 0), (0, far // 2)])
