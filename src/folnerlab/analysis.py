@@ -104,14 +104,34 @@ class PseudometricTrace:
         return header, rows
 
 
-def _mean_distance(sys: GSystem, mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float) -> float:
-    per_entry = tol / mu.count
-    return (
-        math.fsum(
-            metric(sys, a, b, per_entry) for a, b in zip(mu.atoms, nu.atoms)
-        )
-        / mu.count
-    )
+def _mean_distances(
+    sys: GSystem,
+    subsets: Sequence[FiniteSubset],
+    mus: Sequence[EmpiricalMeasure],
+    nus: Sequence[EmpiricalMeasure],
+    tol: float,
+) -> tuple[float, ...]:
+    """(1/|F|) * fsum of d(g*x, g*y) over g in F, for each subset F.
+
+    Each distance is evaluated once per element, from the largest subset
+    down, and kept by g; fsum is exactly rounded, so the order of the terms
+    does not matter.  A metric that reads its tol (a shift's symbol depth)
+    gets the per-entry tol tol/|F| of each index, so its values are not
+    shared between indices.
+    """
+    shared = not space_of(sys).reads_tol(sys)
+    dist: dict[tuple[int, ...], float] = {}
+    values = []
+    for F, mu, nu in zip(reversed(subsets), reversed(mus), reversed(nus)):
+        if not shared:
+            dist = {}
+        per_entry = tol / mu.count
+        keys = [g.coords for g in F]
+        for key, a, b in zip(keys, mu.atoms, nu.atoms):
+            if key not in dist:
+                dist[key] = metric(sys, a, b, per_entry)
+        values.append(math.fsum(dist[key] for key in keys) / mu.count)
+    return tuple(values[::-1])
 
 
 def wasserstein_trace(
@@ -142,7 +162,7 @@ def mean_distance_trace(
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
     mus, nus = _measures_along(sys, x, subsets), _measures_along(sys, y, subsets)
-    values = tuple(_mean_distance(sys, mu, nu, tol) for mu, nu in zip(mus, nus))
+    values = _mean_distances(sys, subsets, mus, nus, tol)
     return PseudometricTrace("mean_distance", indices, values)
 
 
@@ -281,9 +301,11 @@ def coupling_bounds_check(
         mus2 = _measures_along(sys, z2, subsets)
         _, y1 = z1.payload
         mus_diag = _measures_along(sys, pair_point(sys, y1, y1), subsets)
-        for n, F, mu1, mu2, mu_diag in zip(indices, subsets, mus1, mus2, mus_diag):
+        diagonal_means = _mean_distances(sys, subsets, mus1, mus2, tol)
+        for n, F, mu1, mu2, mu_diag, diagonal_mean in zip(
+            indices, subsets, mus1, mus2, mus_diag, diagonal_means
+        ):
             w_product = wasserstein_empirical(mu1, mu2, tol)
-            diagonal_mean = _mean_distance(sys, mu1, mu2, tol)
             w_to_diagonal = wasserstein_empirical(mu1, mu_diag, tol)
             per_entry = tol / F.size
             base_mean = (

@@ -20,11 +20,18 @@ checked before each int64 step (inverses, the a0*b1 corners, a box under
 2^62 cells), so no step can wrap.  When a check fails, or a coordinate
 does not fit in int64, the products are counted as a set of Python-int
 tuples.
+
+How subsets are held.  A ``FiniteSubset`` keeps one read-only array of
+coordinate rows in its enumeration order: int64, or Python ints (dtype
+object) when a coordinate does not fit.  The built-in Folner sets are made
+as arrays, translates, inverses and products are row arithmetic under the
+same int64 guards, and every count reads the rows.  ``GroupElement``
+objects are built only when something iterates the subset or reads its
+``elements``, and are then kept.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,92 +139,241 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.group_id, _inv_coords(g.group_id, g.coords))
 
 
-def _rows(rows: Sequence[Sequence[int]], rank: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Coordinate rows
+
+
+def _fits(lo: int, hi: int) -> bool:
+    return -(2**63) <= lo and hi < 2**63
+
+
+def _column_bounds(X: np.ndarray) -> list[tuple[int, int]]:
+    return [(int(lo), int(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
+
+
+def _product_range(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    corners = [a * b for a in x for b in y]
+    return min(corners), max(corners)
+
+
+def _rows(gid: str, rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Coordinate rows as int64, or as Python ints (dtype object) if one won't fit."""
+    rank = group_rank(gid)
+    shape = (len(rows), rank)
     try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), rank)
+        X = np.array(rows, dtype=np.int64) if len(rows) else np.empty(shape, np.int64)
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), rank)
+        X = np.array([[int(c) for c in row] for row in rows], dtype=object)
+    except ValueError:  # ragged rows, or a coordinate that is not an integer
+        X = None
+    if X is None or X.shape != shape:
+        for row in rows:
+            if len(row) != rank:
+                raise ValueError(
+                    f"{gid} element needs {rank} coordinates, got {len(row)}"
+                )
+        raise ValueError(f"{gid} coordinates must be integers")
+    return X
 
 
-@dataclass(frozen=True)
+def _canonical(X: np.ndarray) -> np.ndarray:
+    """X as int64 when every entry fits, so equal rows are stored alike."""
+    if X.dtype == object:
+        try:
+            return X.astype(np.int64)
+        except OverflowError:
+            pass
+    return X
+
+
+def _lex_order(X: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows of X lexicographically."""
+    return np.lexsort(X.T[::-1])
+
+
+def _check_distinct(sorted_rows: np.ndarray) -> None:
+    same = (sorted_rows[1:] == sorted_rows[:-1]).all(axis=1)
+    if same.any():
+        row = sorted_rows[int(np.argmax(same))]
+        raise ValueError(f"duplicate element {tuple(row.tolist())}")
+
+
+def _inv_rows(gid: str, X: np.ndarray) -> np.ndarray:
+    """Rows f^{-1} for the rows f of X; int64 only where no step can wrap."""
+    if X.dtype == np.int64 and len(X):
+        bounds = _column_bounds(X)
+        fits = all(_fits(-hi, -lo) for lo, hi in bounds)
+        if fits and gid == _HEISENBERG:
+            ab_lo, ab_hi = _product_range(bounds[0], bounds[1])
+            c_lo, c_hi = bounds[2]
+            fits = _fits(ab_lo, ab_hi) and _fits(ab_lo - c_hi, ab_hi - c_lo)
+        if not fits:
+            X = X.astype(object)
+    out = -X
+    if gid == _HEISENBERG:
+        out[:, 2] = X[:, 0] * X[:, 1] - X[:, 2]
+    return out
+
+
+def _mul_rows(gid: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Rows a*b, a over the rows of A (slowest) and b over those of B.
+
+    int64 only where no step can wrap: the column sums, and for the
+    Heisenberg group the a0*b1 corners and the c-column sum.
+    """
+    fits = A.dtype == np.int64 and B.dtype == np.int64
+    if fits and len(A) and len(B):
+        a_bounds, b_bounds = _column_bounds(A), _column_bounds(B)
+        sums = [(al + bl, ah + bh) for (al, ah), (bl, bh) in zip(a_bounds, b_bounds)]
+        fits = all(_fits(lo, hi) for lo, hi in sums)
+        if fits and gid == _HEISENBERG:
+            ab_lo, ab_hi = _product_range(a_bounds[0], b_bounds[1])
+            fits = _fits(ab_lo, ab_hi) and _fits(sums[2][0] + ab_lo, sums[2][1] + ab_hi)
+    if not fits:
+        A, B = A.astype(object), B.astype(object)
+    out = A[:, None, :] + B[None, :, :]
+    if gid == _HEISENBERG:
+        out[:, :, 2] += np.multiply.outer(A[:, 0], B[:, 1])
+    return out.reshape(-1, A.shape[1])
+
+
 class FiniteSubset:
-    """A finite subset of a group with a fixed enumeration order."""
+    """A finite subset of a group with a fixed enumeration order.
 
-    group_id: str
-    elements: tuple[GroupElement, ...]
+    The subset holds its coordinate rows, in that order, in one read-only
+    array (int64, or Python ints when one does not fit).  The
+    ``GroupElement`` objects of ``elements`` are built only when something
+    iterates the subset or reads them, and are then kept.  Equality and
+    hashing follow the enumeration order, as for a tuple of elements.
+    """
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for g in self.elements:
-            _check_same_group(self.group_id, g.group_id)
-            if g.coords in seen:
-                raise ValueError(f"duplicate element {g.coords}")
-            seen.add(g.coords)
+    __slots__ = ("group_id", "_coords", "_elements")
+
+    def __init__(self, group_id: str, elements: Iterable[GroupElement]) -> None:
+        elements = tuple(elements)
+        for g in elements:
+            _check_same_group(group_id, g.group_id)
+        X = _rows(group_id, [g.coords for g in elements])
+        _check_distinct(X[_lex_order(X)])
+        self._init(group_id, X, elements)
+
+    def _init(self, group_id: str, X: np.ndarray, elements) -> None:
+        X = _canonical(X)
+        X.flags.writeable = False
+        object.__setattr__(self, "group_id", group_id)
+        object.__setattr__(self, "_coords", X)
+        object.__setattr__(self, "_elements", elements)
+
+    @classmethod
+    def _of_rows(cls, group_id: str, X: np.ndarray) -> "FiniteSubset":
+        """The subset enumerating the rows of X, which must be distinct."""
+        self = object.__new__(cls)
+        self._init(group_id, X, None)
+        return self
 
     @classmethod
     def from_coords(
         cls, group_id: str, coords: Iterable[Sequence[int]], sort: bool = True
     ) -> "FiniteSubset":
-        tuples = [tuple(int(c) for c in t) for t in coords]
-        if sort:
-            tuples.sort()
-        return cls(group_id, tuple(GroupElement(group_id, t) for t in tuples))
+        X = _rows(group_id, list(coords))
+        S = X[_lex_order(X)]
+        _check_distinct(S)
+        return cls._of_rows(group_id, S if sort else X)
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        if self._elements is None:
+            gid = self.group_id
+            elements = tuple(GroupElement(gid, tuple(t)) for t in self._coords.tolist())
+            object.__setattr__(self, "_elements", elements)
+        return self._elements
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self._coords)
 
     def coord_set(self) -> set[tuple[int, ...]]:
-        return {g.coords for g in self.elements}
+        return set(map(tuple, self._coords.tolist()))
 
     def coords_array(self) -> np.ndarray:
-        """The coordinates as int64 rows, or as Python ints if one does not fit."""
-        return _rows([g.coords for g in self.elements], group_rank(self.group_id))
+        """The coordinate rows, read-only: int64, or Python ints if one won't fit."""
+        return self._coords
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        X, Y = self._coords, other._coords
+        same_shape = self.group_id == other.group_id and X.shape == Y.shape
+        return same_shape and bool((X == Y).all())
+
+    def __hash__(self) -> int:
+        X = self._coords
+        rows = X.tobytes() if X.dtype == np.int64 else tuple(map(tuple, X.tolist()))
+        return hash((self.group_id, rows))
+
+    def __repr__(self) -> str:
+        rows = self._coords.tolist()
+        return f"FiniteSubset(group_id={self.group_id!r}, coords={rows!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a FiniteSubset")
+
+    def __reduce__(self):
+        return (FiniteSubset._of_rows, (self.group_id, self._coords))
 
 
 def translate_left(g: GroupElement, F: FiniteSubset) -> FiniteSubset:
     """The subset g*F, in F's enumeration order."""
     _check_same_group(g.group_id, F.group_id)
     gid = F.group_id
-    return FiniteSubset(
-        gid,
-        tuple(GroupElement(gid, _mul_coords(gid, g.coords, f.coords)) for f in F),
-    )
+    rows = _mul_rows(gid, _rows(gid, [g.coords]), F.coords_array())
+    return FiniteSubset._of_rows(gid, rows)
 
 
 def translate_right(F: FiniteSubset, g: GroupElement) -> FiniteSubset:
     """The subset F*g, in F's enumeration order."""
     _check_same_group(g.group_id, F.group_id)
     gid = F.group_id
-    return FiniteSubset(
-        gid,
-        tuple(GroupElement(gid, _mul_coords(gid, f.coords, g.coords)) for f in F),
-    )
+    rows = _mul_rows(gid, F.coords_array(), _rows(gid, [g.coords]))
+    return FiniteSubset._of_rows(gid, rows)
 
 
 def invert_subset(F: FiniteSubset) -> FiniteSubset:
     """The subset {f^{-1} : f in F}, in F's enumeration order."""
-    gid = F.group_id
-    return FiniteSubset(
-        gid, tuple(GroupElement(gid, _inv_coords(gid, f.coords)) for f in F)
-    )
+    return FiniteSubset._of_rows(F.group_id, _inv_rows(F.group_id, F.coords_array()))
+
+
+def _unique_rows(X: np.ndarray) -> np.ndarray:
+    """The distinct rows of X, sorted lexicographically."""
+    S = X[_lex_order(X)]
+    keep = np.ones(len(S), dtype=bool)
+    keep[1:] = ~(S[1:] == S[:-1]).all(axis=1)
+    return S[keep]
 
 
 def product_subset(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     """The product set A*B = {a*b}, enumerated lexicographically."""
     _check_same_group(A.group_id, B.group_id)
     gid = A.group_id
-    coords = {_mul_coords(gid, a.coords, b.coords) for a in A for b in B}
-    return FiniteSubset.from_coords(gid, coords)
+    products = _mul_rows(gid, A.coords_array(), B.coords_array())
+    return FiniteSubset._of_rows(gid, _unique_rows(products))
+
+
+def _identity_row(gid: str) -> np.ndarray:
+    return np.zeros((1, group_rank(gid)), dtype=np.int64)
 
 
 def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
+    # |A sym-diff B| = 2|A union B| - |A| - |B|, and A union B is (A, B)*{e}
     _check_same_group(A.group_id, B.group_id)
-    return len(A.coord_set() ^ B.coord_set())
+    gid = A.group_id
+    if A.size + B.size == 0:
+        return 0
+    both = np.vstack([A.coords_array(), B.coords_array()])
+    return 2 * _product_size(gid, both, _identity_row(gid)) - A.size - B.size
 
 
 def _defect(F: FiniteSubset, g: GroupElement, left: bool) -> Fraction:
@@ -227,7 +383,7 @@ def _defect(F: FiniteSubset, g: GroupElement, left: bool) -> Fraction:
         raise ValueError("defect of an empty subset is undefined")
     _check_same_group(g.group_id, F.group_id)
     gid = F.group_id
-    eg = _rows([identity(gid).coords, g.coords], group_rank(gid))
+    eg = _rows(gid, [(0,) * group_rank(gid), g.coords])
     X = F.coords_array()
     union = _product_size(gid, eg, X) if left else _product_size(gid, X, eg)
     return Fraction(2 * (union - F.size), F.size)
@@ -283,25 +439,24 @@ class FolnerSequence:
     def subset(self, n: int) -> FiniteSubset:
         if n < 1:
             raise ValueError("indices are 1-based")
+        if self.kind == "explicit_list":
+            if n > len(self.subsets):
+                raise IndexError(f"explicit sequence has {len(self.subsets)} subsets")
+            return self.subsets[n - 1]
+        # the built-in sets are boxes, enumerated lexicographically: an "ij"
+        # meshgrid varies its last axis fastest
+        side = np.arange(-n, n + 1, dtype=np.int64)
         if self.kind == "z_interval":
-            if self.anchor == "left":
-                return FiniteSubset.from_coords("Z", ((k,) for k in range(n)))
-            return FiniteSubset.from_coords("Z", ((k,) for k in range(-n + 1, 1)))
-        if self.kind == "zd_box":
-            d = group_rank(self.group_id)
-            rng = range(-n, n + 1)
-            return FiniteSubset.from_coords(
-                self.group_id, itertools.product(rng, repeat=d)
-            )
-        if self.kind == "heisenberg_box":
-            rng = range(-n, n + 1)
-            crng = range(-n * n, n * n + 1)
-            return FiniteSubset.from_coords(
-                _HEISENBERG, ((a, b, c) for a in rng for b in rng for c in crng)
-            )
-        if n > len(self.subsets):
-            raise IndexError(f"explicit sequence has {len(self.subsets)} subsets")
-        return self.subsets[n - 1]
+            gid, first = "Z", (0 if self.anchor == "left" else 1 - n)
+            axes = [np.arange(first, first + n, dtype=np.int64)]
+        elif self.kind == "zd_box":
+            gid = self.group_id
+            axes = [side] * group_rank(gid)
+        else:
+            gid = _HEISENBERG
+            axes = [side, side, np.arange(-n * n, n * n + 1, dtype=np.int64)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        return FiniteSubset._of_rows(gid, np.stack([g.ravel() for g in grid], axis=1))
 
 
 def z_intervals(anchor: str = "left") -> FolnerSequence:
@@ -337,9 +492,7 @@ def sequence_to_dict(seq: FolnerSequence) -> dict:
     if seq.kind == "z_interval":
         params["anchor"] = seq.anchor
     if seq.kind == "explicit_list":
-        params["subsets"] = [
-            [list(g.coords) for g in S.elements] for S in seq.subsets
-        ]
+        params["subsets"] = [S.coords_array().tolist() for S in seq.subsets]
         params["claimed_sides"] = sorted(seq.claimed_sides)
     return {"group": seq.group_id, "kind": seq.kind, "params": params}
 
@@ -378,36 +531,6 @@ class TemperednessReport:
 
     def satisfies(self, C: Fraction) -> bool:
         return self.constant <= C
-
-
-def _fits(lo: int, hi: int) -> bool:
-    return -(2**63) <= lo and hi < 2**63
-
-
-def _column_bounds(X: np.ndarray) -> list[tuple[int, int]]:
-    return [(int(lo), int(hi)) for lo, hi in zip(X.min(axis=0), X.max(axis=0))]
-
-
-def _product_range(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    corners = [a * b for a in x for b in y]
-    return min(corners), max(corners)
-
-
-def _inv_rows(gid: str, X: np.ndarray) -> np.ndarray:
-    """Rows f^{-1} for the rows f of X; int64 only where no step can wrap."""
-    if X.dtype == np.int64:
-        bounds = _column_bounds(X)
-        fits = all(_fits(-hi, -lo) for lo, hi in bounds)
-        if fits and gid == _HEISENBERG:
-            ab_lo, ab_hi = _product_range(bounds[0], bounds[1])
-            c_lo, c_hi = bounds[2]
-            fits = _fits(ab_lo, ab_hi) and _fits(ab_lo - c_hi, ab_hi - c_lo)
-        if not fits:
-            X = X.astype(object)
-    out = -X
-    if gid == _HEISENBERG:
-        out[:, 2] = X[:, 0] * X[:, 1] - X[:, 2]
-    return out
 
 
 def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
@@ -477,7 +600,7 @@ def temperedness_report(seq: FolnerSequence, upto: int) -> TemperednessReport:
     subsets = [seq.subset(n) for n in range(1, upto + 1)]
     rows = [S.coords_array() for S in subsets]
     inverses = [_inv_rows(gid, X) for X in rows]
-    e = _rows([identity(gid).coords], group_rank(gid))
+    e = _identity_row(gid)
 
     nested_through = 1
     for k in range(1, upto):
@@ -520,14 +643,14 @@ def extract_tempered_subsequence(
         )
 
     chosen: list[int] = [1]
-    union_coords = seq.subset(1).coord_set()
+    union = seq.subset(1).coords_array()
     gid = seq.group_id
     while len(chosen) < count:
         last = chosen[-1]
         budget = 10 * last
         if max_n is not None:
             budget = min(budget, max_n)
-        inv = _inv_rows(gid, _rows(list(union_coords), group_rank(gid)))
+        inv = _inv_rows(gid, union)
         for m in range(last + 1, budget + 1):
             F_m = seq.subset(m)
             card = _product_size(gid, inv, F_m.coords_array())
@@ -539,5 +662,5 @@ def extract_tempered_subsequence(
                 f"after choosing {tuple(chosen)}"
             )
         chosen.append(m)
-        union_coords |= F_m.coord_set()
+        union = _unique_rows(np.vstack([union, F_m.coords_array()]))
     return tuple(chosen)

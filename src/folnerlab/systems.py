@@ -248,13 +248,17 @@ class Space:
     is the reference the kernel is checked against.  ``near_pair`` draws a
     pair at distance below delta.  ``orbit`` is ``[act(g, x) for g in
     elements]``; a kind overrides it where the points share work, and its
-    ``act`` is then the orbit of one element.
+    ``act`` is then the orbit of one element.  ``reads_tol`` says whether
+    the scalar metric's value depends on the tol it is given.
     """
 
     kind = ""
 
     def orbit(self, sys: GSystem, x: SystemPoint, elements) -> list[SystemPoint]:
         return [self.act(sys, g, x) for g in elements]
+
+    def reads_tol(self, sys: GSystem) -> bool:
+        return False
 
     def near_pair(self, sys: GSystem, rng: random.Random, delta: float):
         raise UnsupportedCaseError(
@@ -368,6 +372,9 @@ class _Shift(Space):
 
     def act(self, sys, g, x):
         return SystemPoint(sys.system_id, shift_word(x.payload, g.coords[0]))
+
+    def reads_tol(self, sys):
+        return True  # the tol picks the symbol-comparison depth
 
     def metric(self, sys, x, y, tol):
         u, v = x.payload, y.payload
@@ -526,6 +533,9 @@ class _Product(Space):
         right = space_of(b).orbit(b, q, elements)
         return [SystemPoint(sys.system_id, pair) for pair in zip(left, right)]
 
+    def reads_tol(self, sys):
+        return any(space_of(f).reads_tol(f) for f in sys.factors)
+
     def metric(self, sys, x, y, tol):
         (a, b), (p1, q1), (p2, q2) = sys.factors, x.payload, y.payload
         half = tol / 2.0
@@ -590,7 +600,7 @@ def act(sys: GSystem, g: GroupElement, x: SystemPoint) -> SystemPoint:
 def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
     """The orbit piece [g*x for g in F], in F's enumeration order."""
     _check_point(sys, x)
-    if F.size and F.elements[0].group_id != sys.group_id:
+    if F.group_id != sys.group_id:
         raise GroupMismatchError(
             f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
         )

@@ -1,9 +1,11 @@
 """Group arithmetic, defects, temperedness, and extraction."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -525,3 +527,148 @@ def test_packed_range_around_the_bitmap_cap(extra):
     far = cap + extra - 1
     subsets = [[(0,)], [(0,), (far,), (far - 5,)], [(3,), (far,)]]
     assert_counts_match_naive("Z", subsets, [(5,), (far,)])
+
+
+# ---------------------------------------------------------------------------
+# subsets held as coordinate rows
+
+
+def tuple_built_subset(gid, coords):
+    """The subset as it was built from element objects, one tuple at a time."""
+    return fl.FiniteSubset(gid, tuple(fl.GroupElement(gid, tuple(t)) for t in coords))
+
+
+def test_builtin_subsets_equal_the_tuple_construction():
+    cases = [
+        (fl.z_intervals(), lambda n: [(k,) for k in range(n)]),
+        (fl.z_intervals(anchor="right"), lambda n: [(k,) for k in range(-n + 1, 1)]),
+    ]
+    for d in (1, 2, 3):
+        cases.append(
+            (
+                fl.zd_boxes(d),
+                lambda n, d=d: itertools.product(range(-n, n + 1), repeat=d),
+            )
+        )
+    cases.append(
+        (
+            fl.heisenberg_boxes(),
+            lambda n: [
+                (a, b, c)
+                for a in range(-n, n + 1)
+                for b in range(-n, n + 1)
+                for c in range(-n * n, n * n + 1)
+            ],
+        )
+    )
+    for seq, enumerate_box in cases:
+        for n in (1, 2, 3):
+            F = seq.subset(n)
+            expected = tuple_built_subset(F.group_id, enumerate_box(n))
+            assert F.group_id == seq.group_id
+            assert F.elements == expected.elements
+            assert [g.coords for g in F] == [g.coords for g in expected]
+            assert F == expected and hash(F) == hash(expected)
+            assert F.coords_array().dtype == np.int64
+
+
+def test_subset_equality_and_hash_follow_the_order():
+    A = fl.FiniteSubset.from_coords("Z^2", [[1, 0], [0, 5], [0, 1]])
+    B = fl.FiniteSubset.from_coords("Z^2", [[1, 0], [0, 5], [0, 1]], sort=False)
+    C = tuple_built_subset("Z^2", [(0, 1), (0, 5), (1, 0)])
+    assert A != B and A.coord_set() == B.coord_set()
+    assert A == C and hash(A) == hash(C)
+    assert B == fl.FiniteSubset.from_coords("Z^2", [[1, 0], [0, 5], [0, 1]], sort=False)
+    assert len({A, B, C}) == 2
+    assert A != fl.FiniteSubset.from_coords("Z^2", [[0, 1], [0, 5]])
+    assert fl.FiniteSubset("Z", ()) != fl.FiniteSubset("Z^2", ())
+    big = 2**64
+    D = fl.FiniteSubset.from_coords("Z", [[big], [-big]])
+    E = fl.FiniteSubset.from_coords("Z", [[-big], [big]], sort=False)
+    assert D == E and hash(D) == hash(E)
+    assert D != fl.FiniteSubset.from_coords("Z", [[big], [-big]], sort=False)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[3, 1], [0, 0], [3, 1]], [[2**70, 1], [0, 0], [2**70, 1]]]
+)
+def test_duplicate_rows_are_rejected(rows):
+    for sort in (True, False):
+        with pytest.raises(ValueError, match="duplicate element"):
+            fl.FiniteSubset.from_coords("Z^2", rows, sort=sort)
+    with pytest.raises(ValueError, match="duplicate element"):
+        tuple_built_subset("Z^2", rows)
+
+
+def test_rows_of_the_wrong_length_or_group_are_rejected():
+    with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
+        fl.FiniteSubset.from_coords("Z^2", [[0, 0], [1, 2, 3]])
+    with pytest.raises(ValueError, match="needs 1 coordinates, got 2"):
+        fl.FiniteSubset.from_coords("Z", [[0, 0], [1, 2]])
+    with pytest.raises(GroupMismatchError):
+        fl.FiniteSubset("Z^2", (fl.element("Z^2", 0, 0), fl.element("Z", 1)))
+
+
+def test_coordinates_past_int64_stay_exact():
+    big = 2**63 + 5
+    F = fl.FiniteSubset.from_coords("Z", [[big + 1], [big], [-big]])
+    X = F.coords_array()
+    assert X.dtype == object and X.tolist() == [[-big], [big], [big + 1]]
+    assert F.coord_set() == {(-big,), (big,), (big + 1,)}
+    assert [g.coords for g in F] == [(-big,), (big,), (big + 1,)]
+    assert fl.folner_defect_left(F, fl.element("Z", 1)) == Fraction(4, 3)
+    assert fl.folner_defect_right(F, fl.element("Z", -big)) == Fraction(6, 3)
+    G = fl.FiniteSubset.from_coords("Z", [[big + k] for k in range(-2, 4)])
+    report = fl.temperedness_report(fl.explicit_sequence([F, G]), 2)
+    expected = naive_ratios([F.coord_set(), G.coord_set()], "Z")
+    assert list(report.ratios) == expected
+    # a translate that comes back inside int64 is stored as int64 again
+    back = fl.translate_left(fl.element("Z", -(2**63)), G)
+    assert back.coords_array().dtype == np.int64
+    assert back == fl.FiniteSubset.from_coords("Z", [[5 + k] for k in range(-2, 4)])
+
+
+def test_heisenberg_row_arithmetic_past_int64():
+    big = 2**40
+    A = fl.FiniteSubset.from_coords(
+        "heisenberg", [[big, big, 0], [1, 2, 3], [-big, 1, 2]]
+    )
+    rows = [g.coords for g in A]
+    products = naive_product_set("heisenberg", rows, rows)
+    assert fl.product_subset(A, A).coord_set() == products
+    assert [g.coords for g in fl.invert_subset(A)] == [
+        naive_inv("heisenberg", a) for a in rows
+    ]
+    g = fl.element("heisenberg", big, -big, 1)
+    assert [h.coords for h in fl.translate_left(g, A)] == [
+        naive_mul("heisenberg", g.coords, a) for a in rows
+    ]
+    assert [h.coords for h in fl.translate_right(A, g)] == [
+        naive_mul("heisenberg", a, g.coords) for a in rows
+    ]
+
+
+def test_builtin_counts_build_no_group_elements(monkeypatch):
+    built = []
+    post_init = fl.GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self.coords)
+        post_init(self)
+
+    shifts = [fl.element("Z", k) for k in (1, -1, 3)]
+    monkeypatch.setattr(fl.GroupElement, "__post_init__", counting)
+    fl.temperedness_report(fl.zd_boxes(2), 6)
+    fl.temperedness_report(fl.heisenberg_boxes(), 3)
+    seq = fl.z_intervals()
+    table = [
+        (fl.folner_defect_left(F, g), fl.folner_defect_right(F, g))
+        for F in map(seq.subset, range(1, 20))
+        for g in shifts
+    ]
+    fl.extract_tempered_subsequence(fl.zd_boxes(2), Fraction(5), 3)
+    assert built == []
+    assert table[0] == (Fraction(2), Fraction(2))
+    # iterating a subset is what builds its elements, once
+    F = seq.subset(4)
+    assert list(F) == list(F) and len(built) == 4

@@ -398,6 +398,13 @@ def test_batch_orbit_keeps_group_checks():
     assert fl.orbit_sample(rot, x, fl.FiniteSubset("Z", ())) == []
 
 
+def test_empty_subset_of_another_group_is_rejected():
+    rot = fl.rotation("golden")
+    x = fl.circle_point(rot, Fraction(1, 3))
+    with pytest.raises(GroupMismatchError, match="subset over 'Z\\^2' cannot act"):
+        fl.orbit_sample(rot, x, fl.FiniteSubset("Z^2", ()))
+
+
 def test_sturmian_orbit_matches_rotation_coding():
     # shifting the word corresponds to rotating the coding base point
     sys_obj = fl.full_shift()
