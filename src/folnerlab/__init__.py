@@ -9,232 +9,20 @@ mean equicontinuity, unique ergodicity and pointwise convergence.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    FolnerlabError,
-    GroupMismatchError,
-    SearchBudgetExceededError,
-    SizeLimitError,
-    SystemMismatchError,
-    UnsupportedCaseError,
-)
-from .groups import (
-    FiniteSubset,
-    FolnerSequence,
-    GroupElement,
-    TemperednessReport,
-    element,
-    explicit_sequence,
-    extract_tempered_subsequence,
-    folner_defect_left,
-    folner_defect_right,
-    group_rank,
-    heisenberg_boxes,
-    identity,
-    invert_subset,
-    inverse,
-    multiply,
-    product_subset,
-    sequence_from_dict,
-    sequence_to_dict,
-    symmetric_difference_size,
-    temperedness_report,
-    translate_left,
-    translate_right,
-    z_intervals,
-    zd_boxes,
-)
-from .words import (
-    FlippedWord,
-    PeriodicWord,
-    RandomWord,
-    SplicedWord,
-    SturmianWord,
-    Word,
-    shift_word,
-    word_from_dict,
-    word_to_dict,
-)
-from .systems import (
-    GOLDEN_ALPHA,
-    ExpectedProperties,
-    GSystem,
-    SystemCatalogEntry,
-    SystemPoint,
-    act,
-    build_system,
-    catalog,
-    circle_point,
-    full_shift,
-    heisenberg_rotation,
-    interval_point,
-    interval_square,
-    metric,
-    orbit_sample,
-    pair_point,
-    paired_distances,
-    pairwise_distances,
-    parse_point,
-    parse_rational,
-    point_to_dict,
-    product_system,
-    rotation,
-    shift_point,
-    torus_point,
-    two_rotations,
-    union_point,
-    zd_rotation,
-)
-from .measures import (
-    EmpiricalMeasure,
-    MeasureDistanceResult,
-    Observable,
-    ObservableFamily,
-    birkhoff_average,
-    empirical_measure,
-    integrate,
-    measure_csv_table,
-    observable_family,
-    rho_distance,
-)
-from .transport import (
-    AssignmentResult,
-    CostMatrix,
-    TransportPlan,
-    assignment_min,
-    bruteforce_min,
-    cost_matrix_from_csv,
-    cost_matrix_to_csv,
-    orbit_cost_matrix,
-    plan_cost,
-    wasserstein_empirical,
-)
-from .analysis import (
-    ContinuityReport,
-    CouplingBoundsReport,
-    CouplingBoundsRow,
-    GenericMeasureTrace,
-    ModulusEstimate,
-    PseudometricTrace,
-    UniformConvergenceReport,
-    UniqueErgodicityReport,
-    coupling_bounds_check,
-    generic_measure_trace,
-    mean_distance_trace,
-    measure_map_continuity_diagnostic,
-    modulus_estimate,
-    near_pair_sampler,
-    orbit_permutation_distance,
-    uniform_convergence_diagnostic,
-    unique_ergodicity_diagnostic,
-    wasserstein_trace,
-)
+from .errors import *
+from .groups import *
+from .words import *
+from .systems import *
+from .measures import *
+from .transport import *
+from .analysis import *
 
 __all__ = [
-    "ConfigError",
-    "FolnerlabError",
-    "GroupMismatchError",
-    "SearchBudgetExceededError",
-    "SizeLimitError",
-    "SystemMismatchError",
-    "UnsupportedCaseError",
-    "FiniteSubset",
-    "FolnerSequence",
-    "GroupElement",
-    "TemperednessReport",
-    "element",
-    "explicit_sequence",
-    "extract_tempered_subsequence",
-    "folner_defect_left",
-    "folner_defect_right",
-    "group_rank",
-    "heisenberg_boxes",
-    "identity",
-    "invert_subset",
-    "inverse",
-    "multiply",
-    "product_subset",
-    "sequence_from_dict",
-    "sequence_to_dict",
-    "symmetric_difference_size",
-    "temperedness_report",
-    "translate_left",
-    "translate_right",
-    "z_intervals",
-    "zd_boxes",
-    "FlippedWord",
-    "PeriodicWord",
-    "RandomWord",
-    "SplicedWord",
-    "SturmianWord",
-    "Word",
-    "shift_word",
-    "word_from_dict",
-    "word_to_dict",
-    "GOLDEN_ALPHA",
-    "ExpectedProperties",
-    "GSystem",
-    "SystemCatalogEntry",
-    "SystemPoint",
-    "act",
-    "build_system",
-    "catalog",
-    "circle_point",
-    "full_shift",
-    "heisenberg_rotation",
-    "interval_point",
-    "interval_square",
-    "metric",
-    "orbit_sample",
-    "pair_point",
-    "paired_distances",
-    "pairwise_distances",
-    "parse_point",
-    "parse_rational",
-    "point_to_dict",
-    "product_system",
-    "rotation",
-    "shift_point",
-    "torus_point",
-    "two_rotations",
-    "union_point",
-    "zd_rotation",
-    "EmpiricalMeasure",
-    "MeasureDistanceResult",
-    "Observable",
-    "ObservableFamily",
-    "birkhoff_average",
-    "empirical_measure",
-    "integrate",
-    "measure_csv_table",
-    "observable_family",
-    "rho_distance",
-    "AssignmentResult",
-    "CostMatrix",
-    "TransportPlan",
-    "assignment_min",
-    "bruteforce_min",
-    "cost_matrix_from_csv",
-    "cost_matrix_to_csv",
-    "orbit_cost_matrix",
-    "plan_cost",
-    "wasserstein_empirical",
-    "ContinuityReport",
-    "CouplingBoundsReport",
-    "CouplingBoundsRow",
-    "GenericMeasureTrace",
-    "ModulusEstimate",
-    "PseudometricTrace",
-    "UniformConvergenceReport",
-    "UniqueErgodicityReport",
-    "coupling_bounds_check",
-    "generic_measure_trace",
-    "mean_distance_trace",
-    "measure_map_continuity_diagnostic",
-    "modulus_estimate",
-    "near_pair_sampler",
-    "orbit_permutation_distance",
-    "uniform_convergence_diagnostic",
-    "unique_ergodicity_diagnostic",
-    "wasserstein_trace",
+    *errors.__all__,
+    *groups.__all__,
+    *words.__all__,
+    *systems.__all__,
+    *measures.__all__,
+    *transport.__all__,
+    *analysis.__all__,
 ]

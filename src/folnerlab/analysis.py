@@ -33,6 +33,7 @@ __all__ = [
     "PseudometricTrace",
     "ModulusEstimate",
     "GenericMeasureTrace",
+    "CouplingBoundsRow",
     "CouplingBoundsReport",
     "UniqueErgodicityReport",
     "ContinuityReport",
@@ -65,24 +66,30 @@ def _check_indices(indices: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _rows(F: FiniteSubset) -> list[tuple[int, ...]]:
+    return list(map(tuple, F.coords_array().tolist()))
+
+
 def _measures_along(
     sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
 ) -> list[EmpiricalMeasure]:
     """The empirical measures of x over each subset, acting by each g only once.
 
-    The orbit is built over the last subset first and kept in one g -> g*x
-    dict, so for a nested sequence every earlier subset is a lookup; an
-    element outside it is acted on when first met.
+    The orbit is built over the last subset first and kept in one dict keyed
+    by coordinate row, so for a nested sequence every earlier subset is a
+    lookup; a row outside it is acted on when first met.
     """
     points: dict[tuple[int, ...], SystemPoint] = {}
     measures = []
     for F in reversed(subsets):
-        missing = tuple(g for g in F if g.coords not in points)
+        rows = _rows(F)
+        missing = [g for g in rows if g not in points]
         if missing:
-            part = F if len(missing) == F.size else FiniteSubset(F.group_id, missing)
-            orbit = orbit_sample(sys, x, part)
-            points.update(zip((g.coords for g in missing), orbit))
-        measures.append(_measure_on(sys, x, F, [points[g.coords] for g in F]))
+            part = F
+            if len(missing) < F.size:
+                part = FiniteSubset.from_coords(F.group_id, missing, sort=False)
+            points.update(zip(missing, orbit_sample(sys, x, part)))
+        measures.append(_measure_on(sys, x, F, [points[g] for g in rows]))
     return measures[::-1]
 
 
@@ -107,30 +114,31 @@ class PseudometricTrace:
 def _mean_distances(
     sys: GSystem,
     subsets: Sequence[FiniteSubset],
-    mus: Sequence[EmpiricalMeasure],
-    nus: Sequence[EmpiricalMeasure],
+    xs: Sequence[Sequence[SystemPoint]],
+    ys: Sequence[Sequence[SystemPoint]],
     tol: float,
 ) -> tuple[float, ...]:
-    """(1/|F|) * fsum of d(g*x, g*y) over g in F, for each subset F.
+    """(1/|F|) * fsum of d(a, b) over the paired atoms a of xs[k], b of ys[k].
 
-    Each distance is evaluated once per element, from the largest subset
-    down, and kept by g; fsum is exactly rounded, so the order of the terms
-    does not matter.  A metric that reads its tol (a shift's symbol depth)
-    gets the per-entry tol tol/|F| of each index, so its values are not
-    shared between indices.
+    The atoms of index k are g*x and g*y for the rows g of subsets[k], in
+    order.  Each distance is evaluated once per row, from the largest subset
+    down, and kept by row; fsum is exactly rounded, so the order of the
+    terms does not matter.  A metric that reads its tol (a shift's symbol
+    depth) gets the per-entry tol tol/|F| of each index, so its values are
+    not shared between indices.
     """
     shared = not space_of(sys).reads_tol(sys)
     dist: dict[tuple[int, ...], float] = {}
     values = []
-    for F, mu, nu in zip(reversed(subsets), reversed(mus), reversed(nus)):
+    for F, atoms_x, atoms_y in zip(reversed(subsets), reversed(xs), reversed(ys)):
         if not shared:
             dist = {}
-        per_entry = tol / mu.count
-        keys = [g.coords for g in F]
-        for key, a, b in zip(keys, mu.atoms, nu.atoms):
-            if key not in dist:
-                dist[key] = metric(sys, a, b, per_entry)
-        values.append(math.fsum(dist[key] for key in keys) / mu.count)
+        per_entry = tol / F.size
+        rows = _rows(F)
+        for g, a, b in zip(rows, atoms_x, atoms_y):
+            if g not in dist:
+                dist[g] = metric(sys, a, b, per_entry)
+        values.append(math.fsum(dist[g] for g in rows) / F.size)
     return tuple(values[::-1])
 
 
@@ -161,8 +169,9 @@ def mean_distance_trace(
     """values[k] = (1/|F_{n_k}|) * sum over g of d(g*x, g*y)."""
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
-    mus, nus = _measures_along(sys, x, subsets), _measures_along(sys, y, subsets)
-    values = _mean_distances(sys, subsets, mus, nus, tol)
+    xs = [mu.atoms for mu in _measures_along(sys, x, subsets)]
+    ys = [nu.atoms for nu in _measures_along(sys, y, subsets)]
+    values = _mean_distances(sys, subsets, xs, ys, tol)
     return PseudometricTrace("mean_distance", indices, values)
 
 
@@ -301,20 +310,17 @@ def coupling_bounds_check(
         mus2 = _measures_along(sys, z2, subsets)
         _, y1 = z1.payload
         mus_diag = _measures_along(sys, pair_point(sys, y1, y1), subsets)
-        diagonal_means = _mean_distances(sys, subsets, mus1, mus2, tol)
-        for n, F, mu1, mu2, mu_diag, diagonal_mean in zip(
-            indices, subsets, mus1, mus2, mus_diag, diagonal_means
+        diagonal_means = _mean_distances(
+            sys, subsets, [mu.atoms for mu in mus1], [mu.atoms for mu in mus2], tol
+        )
+        lefts = [[a.payload[0] for a in mu.atoms] for mu in mus1]
+        rights = [[a.payload[1] for a in mu.atoms] for mu in mus1]
+        base_means = _mean_distances(base, subsets, lefts, rights, tol)
+        for n, mu1, mu2, mu_diag, diagonal_mean, base_mean in zip(
+            indices, mus1, mus2, mus_diag, diagonal_means, base_means
         ):
             w_product = wasserstein_empirical(mu1, mu2, tol)
             w_to_diagonal = wasserstein_empirical(mu1, mu_diag, tol)
-            per_entry = tol / F.size
-            base_mean = (
-                math.fsum(
-                    metric(base, a.payload[0], a.payload[1], per_entry)
-                    for a in mu1.atoms
-                )
-                / F.size
-            )
             rows.append(
                 CouplingBoundsRow(
                     pi, n, w_product, diagonal_mean, w_to_diagonal, base_mean

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import __version__ as VERSION
 from . import analysis, groups, measures, systems, transport
-from .errors import ConfigError, FolnerlabError
+from .errors import ConfigError, FolnerlabError, GroupMismatchError
 
 __all__ = ["main"]
 
@@ -141,22 +141,14 @@ def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
         folner, {"kind", "anchor", "subsets", "claimed_sides"}, {"kind"}, "folner"
     )
     kind = folner["kind"]
-    if kind == "z_interval":
-        if group_id != "Z":
-            raise ConfigError(
-                f"z_interval needs the group Z, not {group_id!r}", "folner.kind"
-            )
-        return groups.FolnerSequence("Z", kind, anchor=folner.get("anchor", "left"))
-    if kind == "zd_box":
-        if group_id == "heisenberg":
-            raise ConfigError("zd_box needs a group Z or Z^d", "folner.kind")
-        return groups.FolnerSequence(group_id, kind)
-    if kind == "heisenberg_box":
-        if group_id != "heisenberg":
-            raise ConfigError(
-                "heisenberg_box needs the Heisenberg group", "folner.kind"
-            )
-        return groups.FolnerSequence("heisenberg", kind)
+    try:
+        if kind == "z_interval":
+            anchor = folner.get("anchor", "left")
+            return groups.FolnerSequence(group_id, kind, anchor=anchor)
+        if kind in ("zd_box", "heisenberg_box"):
+            return groups.FolnerSequence(group_id, kind)
+    except GroupMismatchError as exc:
+        raise ConfigError(str(exc), "folner.kind") from None
     if kind == "explicit_list":
         if "subsets" not in folner:
             raise ConfigError("explicit_list needs 'subsets'", "folner")

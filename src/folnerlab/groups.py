@@ -410,7 +410,8 @@ class FolnerSequence:
     Kinds: ``z_interval`` (integers; anchor "left" gives {0..n-1}, anchor
     "right" gives {-n+1..0}), ``zd_box`` (the cube [-n, n]^d),
     ``heisenberg_box`` (|a| <= n, |b| <= n, |c| <= n^2) and
-    ``explicit_list`` (user-supplied subsets).  ``claimed_sides`` records on
+    ``explicit_list`` (user-supplied subsets).  A built-in kind over another
+    group raises ``GroupMismatchError``.  ``claimed_sides`` records on
     which side the averaging property is claimed; the claim is metadata,
     validated numerically through the defect operations.
     """
@@ -424,6 +425,14 @@ class FolnerSequence:
     def __post_init__(self) -> None:
         if self.kind not in ("z_interval", "zd_box", "heisenberg_box", "explicit_list"):
             raise ValueError(f"unknown Folner kind {self.kind!r}")
+        if self.kind == "z_interval" and self.group_id != "Z":
+            raise GroupMismatchError(
+                f"z_interval needs the group Z, not {self.group_id!r}"
+            )
+        if self.kind == "zd_box" and self.group_id == _HEISENBERG:
+            raise GroupMismatchError("zd_box needs a group Z or Z^d")
+        if self.kind == "heisenberg_box" and self.group_id != _HEISENBERG:
+            raise GroupMismatchError("heisenberg_box needs the Heisenberg group")
         if self.kind == "z_interval" and self.anchor not in ("left", "right"):
             raise ValueError(f"bad anchor {self.anchor!r}")
         if self.kind == "explicit_list" and not self.subsets:
@@ -447,16 +456,15 @@ class FolnerSequence:
         # meshgrid varies its last axis fastest
         side = np.arange(-n, n + 1, dtype=np.int64)
         if self.kind == "z_interval":
-            gid, first = "Z", (0 if self.anchor == "left" else 1 - n)
+            first = 0 if self.anchor == "left" else 1 - n
             axes = [np.arange(first, first + n, dtype=np.int64)]
         elif self.kind == "zd_box":
-            gid = self.group_id
-            axes = [side] * group_rank(gid)
+            axes = [side] * group_rank(self.group_id)
         else:
-            gid = _HEISENBERG
             axes = [side, side, np.arange(-n * n, n * n + 1, dtype=np.int64)]
         grid = np.meshgrid(*axes, indexing="ij")
-        return FiniteSubset._of_rows(gid, np.stack([g.ravel() for g in grid], axis=1))
+        rows = np.stack([g.ravel() for g in grid], axis=1)
+        return FiniteSubset._of_rows(self.group_id, rows)
 
 
 def z_intervals(anchor: str = "left") -> FolnerSequence:

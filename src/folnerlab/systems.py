@@ -1,18 +1,49 @@
 """Compact metric spaces with group actions, and a catalog of examples.
 
-Payload conventions per space kind:
-  circle    exact Fraction in [0, 1), arc metric min(|u-v|, 1-|u-v|)
-  torus     tuple of Fractions, sum of arc metrics per coordinate
-  shift     a words.Word over {0,1} indexed by the integers
-  interval  float in [0, 1], absolute-difference metric
-  union     (component tag, Fraction); intra-component arc metric halved,
-            cross-component distance exactly 1
-  product   pair of factor points, sum metric
+Each space kind is one Space object in the module table _SPACES, and that
+table is the one place a new kind plugs in.  A Space writes its action once,
+as ``orbit(sys, x, rows)``: the points g*x for the coordinate rows g in
+``rows``, in order.  Rows are sequences of Python ints (``tolist()`` of a
+subset's coordinate array), so exact Fraction arithmetic never meets numpy
+integers.  ``observables(sys)`` yields the kind's fixed dense observable
+family, on which the weak-* metric of ``measures`` is built.  The Space also
+holds the scalar metric, the vectorized distance kernel, point
+(de)serialization, CSV columns and the near-pair draw.  The public functions
+look the space up from ``sys.space_kind``.
 
-Each kind is one Space object in the module table _SPACES: its action,
-scalar metric, vectorized distance kernel, point (de)serialization, CSV
-columns and near-pair draw.  The public functions look the space up from
-``sys.space_kind``; that table is the one place a new kind plugs in.
+Payloads, and the observable families (1-based index i), per space kind:
+  circle    exact Fraction in [0, 1), arc metric min(|u-v|, 1-|u-v|);
+            i = 2j-1 -> cos(2*pi*j*x), i = 2j -> sin(2*pi*j*x)
+  torus     tuple of Fractions, sum of arc metrics per coordinate;
+            characters k in Z^d \\ {0} enumerated by sup-norm shell then
+            lexicographically; character c gives cos at i = 2c+1 and sin at
+            i = 2c+2
+  shift     a words.Word over {0,1} indexed by the integers;
+            cylinder indicators: windows of radius r = 0, 1, ... centred at
+            the origin, patterns in lexicographic order within each window
+  interval  float in [0, 1], absolute-difference metric; monomials x^i
+  union     (component tag, Fraction); intra-component arc metric halved,
+            cross-component distance exactly 1;
+            i = 1 the component-a indicator, then for j = 1, 2, ... the block
+            (cos_j on a, sin_j on a, cos_j on b, sin_j on b), each vanishing
+            off its component
+  product   pair of factor points, sum metric;
+            h(x, y) = f_i(x) * g_j(y) with factor indices (i, j) walked along
+            anti-diagonals i + j = 1, 2, ... (index 0 means the constant 1)
+
+Every family observable reads a point through a view shared by many
+observables, and is ``on_view(view(p))``:
+  circle    the payload as a float
+  torus     the tuple of coordinate floats
+  shift     the symbol window of radius r (one view per radius)
+  interval  the payload
+  union     (component tag, float)
+  product   the pair of the two factor views
+An empirical measure computes a view once for all its atoms and keeps it, so
+``integrate`` applies only ``on_view`` per atom; the values are bit for bit
+those of ``fn``, which performs the same float operations in the same order.
+Plain callables, and observables built directly from ``fn``, still run on
+every atom.
 
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
@@ -22,13 +53,14 @@ is approximate and the workbench never claims otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,6 +206,115 @@ def pair_point(sys: GSystem, x: SystemPoint, y: SystemPoint) -> SystemPoint:
 
 
 # ---------------------------------------------------------------------------
+# Observables
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class Observable:
+    name: str
+    sup_norm: float
+    fn: Callable[[SystemPoint], float]
+
+    def __call__(self, x: SystemPoint) -> float:
+        return self.fn(x)
+
+
+class ObservableFamily:
+    """Lazily enumerated observables with certified sup-norm bounds."""
+
+    def __init__(self, space_id: str, generator: Iterator[Observable]):
+        self.space_id = space_id
+        self._gen = generator
+        self._cache: list[Observable] = []
+
+    def observable(self, i: int) -> Observable:
+        """The i-th observable, 1-based."""
+        if i < 1:
+            raise ValueError("observable indices are 1-based")
+        while len(self._cache) < i:
+            self._cache.append(next(self._gen))
+        return self._cache[i - 1]
+
+
+@dataclass(frozen=True)
+class _ViewObservable(Observable):
+    """An observable whose fn is on_view(view(p)); measures cache the view."""
+
+    view: Callable[[SystemPoint], object]
+    on_view: Callable[[object], float]
+
+
+def _viewed(
+    name: str,
+    view: Callable[[SystemPoint], object],
+    on_view: Callable[[object], float],
+    sup_norm: float = 1.0,
+) -> Observable:
+    return _ViewObservable(name, sup_norm, lambda p: on_view(view(p)), view, on_view)
+
+
+def _float_payload(p: SystemPoint) -> float:
+    return float(p.payload)
+
+
+def _float_coords(p: SystemPoint) -> tuple[float, ...]:
+    return tuple(float(c) for c in p.payload)
+
+
+def _payload(p: SystemPoint) -> object:
+    return p.payload
+
+
+def _tagged_float(p: SystemPoint) -> tuple[str, float]:
+    return p.payload[0], float(p.payload[1])
+
+
+def _no_view(p: SystemPoint) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The symbols of a shift point at positions -radius..radius.
+
+    Views that compare equal share one cache entry in a measure, so the
+    families of separate observable_family calls share their windows.
+    """
+
+    radius: int
+
+    def __call__(self, p: SystemPoint) -> tuple[int, ...]:
+        word = p.payload
+        return tuple(word.symbol(k) for k in range(-self.radius, self.radius + 1))
+
+
+@dataclass(frozen=True)
+class _PairView:
+    """The two factor views of a product point."""
+
+    left: Callable[[SystemPoint], object]
+    right: Callable[[SystemPoint], object]
+
+    def __call__(self, p: SystemPoint) -> tuple[object, object]:
+        return self.left(p.payload[0]), self.right(p.payload[1])
+
+
+def _lattice_characters(d: int) -> Iterator[tuple[int, ...]]:
+    r = 1
+    while True:
+        shell = sorted(
+            v
+            for v in itertools.product(range(-r, r + 1), repeat=d)
+            if max(abs(c) for c in v) == r
+        )
+        yield from shell
+        r += 1
+
+
+# ---------------------------------------------------------------------------
 # Space kinds
 
 
@@ -246,16 +387,13 @@ class Space:
     distance matrix is ``kernel(U[:, None], V[None])`` and its diagonal is
     ``kernel(U, V)``.  The scalar ``metric`` is separate code on purpose: it
     is the reference the kernel is checked against.  ``near_pair`` draws a
-    pair at distance below delta.  ``orbit`` is ``[act(g, x) for g in
-    elements]``; a kind overrides it where the points share work, and its
-    ``act`` is then the orbit of one element.  ``reads_tol`` says whether
-    the scalar metric's value depends on the tol it is given.
+    pair at distance below delta.  ``orbit`` is the action, over coordinate
+    rows, and ``observables`` yields the family (module docstring).
+    ``reads_tol`` says whether the scalar metric's value depends on the tol
+    it is given.
     """
 
     kind = ""
-
-    def orbit(self, sys: GSystem, x: SystemPoint, elements) -> list[SystemPoint]:
-        return [self.act(sys, g, x) for g in elements]
 
     def reads_tol(self, sys: GSystem) -> bool:
         return False
@@ -269,18 +407,14 @@ class Space:
 class _Circle(Space):
     kind = "circle"
 
-    def act(self, sys, g, x):
-        return self.orbit(sys, x, (g,))[0]
-
-    def orbit(self, sys, x, elements):
+    def orbit(self, sys, x, rows):
         # x + sum g_i alpha_i mod 1 in integer numerators over one denominator
         D, (a, *steps) = _common_denominator(x.payload, *sys.param("alphas"))
         return [
             SystemPoint(
-                sys.system_id,
-                Fraction((a + sum(map(operator.mul, g.coords, steps))) % D, D),
+                sys.system_id, Fraction((a + sum(map(operator.mul, g, steps))) % D, D)
             )
-            for g in elements
+            for g in rows
         ]
 
     def metric(self, sys, x, y, tol):
@@ -309,14 +443,19 @@ class _Circle(Space):
         x = _dyadic(rng)
         return circle_point(sys, x), circle_point(sys, x + _offset(rng, step))
 
+    def observables(self, sys):
+        j = 1
+        while True:
+            w = _TWO_PI * j
+            yield _viewed(f"cos_{j}", _float_payload, lambda v, w=w: math.cos(w * v))
+            yield _viewed(f"sin_{j}", _float_payload, lambda v, w=w: math.sin(w * v))
+            j += 1
+
 
 class _Torus(Space):
     kind = "torus"
 
-    def act(self, sys, g, x):
-        return self.orbit(sys, x, (g,))[0]
-
-    def orbit(self, sys, x, elements):
+    def orbit(self, sys, x, rows):
         # coordinate i moves by g_i * alpha_i; later group coordinates act trivially
         d = len(x.payload)
         D, numerators = _common_denominator(*x.payload, *sys.param("alphas"))
@@ -325,10 +464,10 @@ class _Torus(Space):
             SystemPoint(
                 sys.system_id,
                 tuple(
-                    Fraction((c + gi * b) % D, D) for (c, b), gi in zip(pairs, g.coords)
+                    Fraction((c + gi * b) % D, D) for (c, b), gi in zip(pairs, g)
                 ),
             )
-            for g in elements
+            for g in rows
         ]
 
     def metric(self, sys, x, y, tol):
@@ -366,12 +505,26 @@ class _Torus(Space):
         ys = [c + _offset(rng, step) for c in xs]
         return torus_point(sys, xs), torus_point(sys, ys)
 
+    def observables(self, sys):
+        for k in _lattice_characters(len(sys.param("alphas"))):
+            label = ",".join(map(str, k))
+
+            def phase(v: tuple[float, ...], k=k) -> float:
+                return _TWO_PI * sum(ki * c for ki, c in zip(k, v))
+
+            yield _viewed(
+                f"cos[{label}]", _float_coords, lambda v, ph=phase: math.cos(ph(v))
+            )
+            yield _viewed(
+                f"sin[{label}]", _float_coords, lambda v, ph=phase: math.sin(ph(v))
+            )
+
 
 class _Shift(Space):
     kind = "shift"
 
-    def act(self, sys, g, x):
-        return SystemPoint(sys.system_id, shift_word(x.payload, g.coords[0]))
+    def orbit(self, sys, x, rows):
+        return [SystemPoint(sys.system_id, shift_word(x.payload, n)) for (n,) in rows]
 
     def reads_tol(self, sys):
         return True  # the tol picks the symbol-comparison depth
@@ -423,19 +576,29 @@ class _Shift(Space):
             other = FlippedWord(base, {c + rng.randint(0, 8)})
         return shift_point(sys, base), shift_point(sys, other)
 
+    def observables(self, sys):
+        r = 0
+        while True:
+            window = _Window(r)
+            for pattern in itertools.product((0, 1), repeat=2 * r + 1):
+                label = "".join(map(str, pattern))
+                yield _viewed(
+                    f"cyl[{-r}..{r}={label}]",
+                    window,
+                    lambda v, pattern=pattern: 1.0 if v == pattern else 0.0,
+                )
+            r += 1
+
 
 class _Interval(Space):
     kind = "interval"
 
-    def act(self, sys, g, x):
-        return self.orbit(sys, x, (g,))[0]
-
-    def orbit(self, sys, x, elements):
+    def orbit(self, sys, x, rows):
         # g*x is one power step from the nearest exponent between 0 and g;
         # powers of one sign compose exactly, so each point is bit-identical
         # to iterating |g| times from x
         at = {0: x.payload}
-        exponents = sorted({g.coords[0] for g in elements})
+        exponents = sorted({n for (n,) in rows})
         positive = [n for n in exponents if n > 0]
         negative = [n for n in reversed(exponents) if n < 0]
         for side in (positive, negative):
@@ -443,7 +606,7 @@ class _Interval(Space):
             for n in side:
                 at[n] = _interval_power(at[prev], n - prev)
                 prev = n
-        return [SystemPoint(sys.system_id, at[g.coords[0]]) for g in elements]
+        return [SystemPoint(sys.system_id, at[n]) for (n,) in rows]
 
     def metric(self, sys, x, y, tol):
         return abs(x.payload - y.payload)
@@ -472,14 +635,22 @@ class _Interval(Space):
         y = min(1.0, max(0.0, x + (2.0 * rng.random() - 1.0) * delta * 0.999))
         return interval_point(sys, x), interval_point(sys, y)
 
+    def observables(self, sys):
+        j = 1
+        while True:
+            yield _viewed(f"pow_{j}", _payload, lambda v, j=j: v**j)
+            j += 1
+
 
 class _Union(Space):
     kind = "union"
 
-    def act(self, sys, g, x):
+    def orbit(self, sys, x, rows):
         tag, value = x.payload
         alpha = sys.param("alpha_a") if tag == "a" else sys.param("alpha_b")
-        return SystemPoint(sys.system_id, (tag, (value + g.coords[0] * alpha) % 1))
+        return [
+            SystemPoint(sys.system_id, (tag, (value + n * alpha) % 1)) for (n,) in rows
+        ]
 
     def metric(self, sys, x, y, tol):
         (tag_x, u), (tag_y, v) = x.payload, y.payload
@@ -515,22 +686,39 @@ class _Union(Space):
         x = _dyadic(rng)
         return union_point(sys, tag, x), union_point(sys, tag, x + _offset(rng, step))
 
+    def observables(self, sys):
+        yield _viewed(
+            "component_a", _tagged_float, lambda v: 1.0 if v[0] == "a" else 0.0
+        )
+        j = 1
+        while True:
+            w = _TWO_PI * j
+            for tag in ("a", "b"):
+                yield _viewed(
+                    f"cos_{j}@{tag}",
+                    _tagged_float,
+                    lambda v, w=w, tag=tag: math.cos(w * v[1]) if v[0] == tag else 0.0,
+                )
+                yield _viewed(
+                    f"sin_{j}@{tag}",
+                    _tagged_float,
+                    lambda v, w=w, tag=tag: math.sin(w * v[1]) if v[0] == tag else 0.0,
+                )
+            j += 1
+
 
 class _Product(Space):
     """Pairs of factor points; every method recurses through the factors."""
 
     kind = "product"
 
-    def act(self, sys, g, x):
-        return self.orbit(sys, x, (g,))[0]
-
-    def orbit(self, sys, x, elements):
+    def orbit(self, sys, x, rows):
         (a, b), (p, q) = sys.factors, x.payload
-        if elements:
+        if rows:
             _check_point(a, p)
             _check_point(b, q)
-        left = space_of(a).orbit(a, p, elements)
-        right = space_of(b).orbit(b, q, elements)
+        left = space_of(a).orbit(a, p, rows)
+        right = space_of(b).orbit(b, q, rows)
         return [SystemPoint(sys.system_id, pair) for pair in zip(left, right)]
 
     def reads_tol(self, sys):
@@ -571,6 +759,28 @@ class _Product(Space):
         (a, b), (p, q) = sys.factors, x.payload
         return atom_row(a, p) + atom_row(b, q)
 
+    def observables(self, sys):
+        left, right = (
+            ObservableFamily(f.system_id, space_of(f).observables(f)) for f in sys.factors
+        )
+        one = _viewed("one", _no_view, lambda v: 1.0)
+
+        def factor(family: ObservableFamily, idx: int) -> Observable:
+            return one if idx == 0 else family.observable(idx)
+
+        s = 1
+        while True:
+            for i in range(s + 1):
+                f = factor(left, i)
+                g = factor(right, s - i)
+                yield _viewed(
+                    f"{f.name}*{g.name}",
+                    _PairView(f.view, g.view),
+                    lambda v, f=f.on_view, g=g.on_view: f(v[0]) * g(v[1]),
+                    f.sup_norm * g.sup_norm,
+                )
+            s += 1
+
 
 # The one table of space kinds: a new kind plugs in here.
 _SPACES: dict[str, Space] = {
@@ -594,7 +804,7 @@ def space_of(sys: GSystem) -> Space:
 def act(sys: GSystem, g: GroupElement, x: SystemPoint) -> SystemPoint:
     _check_group(sys, g)
     _check_point(sys, x)
-    return space_of(sys).act(sys, g, x)
+    return space_of(sys).orbit(sys, x, [g.coords])[0]
 
 
 def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
@@ -604,7 +814,7 @@ def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPo
         raise GroupMismatchError(
             f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
         )
-    return space_of(sys).orbit(sys, x, F.elements)
+    return space_of(sys).orbit(sys, x, F.coords_array().tolist())
 
 
 def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> float:

@@ -700,3 +700,80 @@ def test_uniform_convergence_checks_every_pair_before_averaging():
             GOLDEN, f, [cpoint(0)], fl.z_intervals(), [(5, 10), (0, 4)]
         )
     assert calls == []
+
+
+SHIFT = fl.full_shift()
+
+
+@pytest.mark.parametrize(
+    "base, points, calls",
+    [
+        (GOLDEN, (cpoint(0), cpoint(Fraction(1, 3))), 40),
+        # a shift metric reads its tol, so each index keeps its own tol/|F|
+        (SHIFT, (fl.shift_point(SHIFT, fl.RandomWord(3)),
+                 fl.shift_point(SHIFT, fl.RandomWord(4))), 10 + 20 + 40),
+    ],
+    ids=["rotation", "shift"],
+)
+def test_coupling_base_means_evaluate_each_row_once(base, points, calls, monkeypatch):
+    P = fl.product_system(base)
+    x, y = points
+    seq, indices, tol = fl.z_intervals(), [10, 20, 40], 1e-6
+    seen = []
+    metric = fl.analysis.metric
+
+    def counting(sys_obj, a, b, tol=1e-9):
+        if sys_obj is base:
+            seen.append(tol)
+        return metric(sys_obj, a, b, tol)
+
+    monkeypatch.setattr(fl.analysis, "metric", counting)
+    z1, z2 = fl.pair_point(P, x, y), fl.pair_point(P, y, x)
+    report = fl.coupling_bounds_check(P, [(z1, z2)], seq, indices, tol)
+    monkeypatch.undo()
+    assert len(seen) == calls
+    for row in report.rows:
+        F = seq.subset(row.n)
+        gx, gy = fl.orbit_sample(base, x, F), fl.orbit_sample(base, y, F)
+        expected = math.fsum(
+            fl.metric(base, a, b, tol / F.size) for a, b in zip(gx, gy)
+        ) / F.size
+        assert repr(row.base_mean) == repr(expected)
+
+
+def test_diagnostics_build_no_group_elements(monkeypatch):
+    built = []
+    post_init = fl.GroupElement.__post_init__
+
+    def counting(self):
+        built.append(self.coords)
+        post_init(self)
+
+    z2 = fl.zd_rotation(["1/3", "golden"])
+    heis = fl.heisenberg_rotation("2/9", "golden")
+    unnested = fl.explicit_sequence([
+        fl.FiniteSubset.from_coords("Z", [[3], [-1], [8]], sort=False),
+        fl.FiniteSubset.from_coords("Z", [[0], [3], [5], [-1]], sort=False),
+    ])
+    cases = [
+        (GOLDEN, cpoint(0), cpoint(Fraction(1, 3)), fl.z_intervals(), [5, 10, 20]),
+        (z2, fl.circle_point(z2, 0), fl.circle_point(z2, Fraction(1, 7)),
+         fl.zd_boxes(2), [1, 2, 3]),
+        (heis, fl.torus_point(heis, [Fraction(1, 3), 0]),
+         fl.torus_point(heis, [0, Fraction(1, 2)]), fl.heisenberg_boxes(), [1, 2]),
+        (GOLDEN, cpoint(0), cpoint(Fraction(1, 3)), unnested, [1, 2]),
+    ]
+    monkeypatch.setattr(fl.GroupElement, "__post_init__", counting)
+    for sys_obj, x, y, seq, indices in cases:
+        P = fl.product_system(sys_obj)
+        f = fl.observable_family(sys_obj).observable(1)
+        fl.wasserstein_trace(sys_obj, x, y, seq, indices)
+        fl.mean_distance_trace(sys_obj, x, y, seq, indices)
+        fl.generic_measure_trace(sys_obj, x, seq, indices, N=5)
+        fl.uniform_convergence_diagnostic(
+            sys_obj, f, [x, y], seq, [(indices[0], indices[-1])]
+        )
+        pairs = [(fl.pair_point(P, x, y), fl.pair_point(P, y, x))]
+        fl.coupling_bounds_check(P, pairs, seq, indices)
+        fl.birkhoff_average(sys_obj, f, x, seq.subset(indices[-1]))
+    assert built == []

@@ -616,3 +616,18 @@ def test_console_script_runs(tmp_path):
     assert any(
         line.startswith("error[ConfigError]") for line in proc.stderr.splitlines()
     ), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["defect", "--group", "Z^2", "--n", "10", "--g", "1"],
+         "folner.kind: z_interval needs the group Z, not 'Z^2'"),
+        (["defect", "--kind", "heisenberg_box", "--n", "2", "--g", "1,0,0"],
+         "folner.kind: heisenberg_box needs the Heisenberg group"),
+        (["defect", "--group", "heisenberg", "--kind", "zd_box", "--n", "2",
+          "--g", "1,0,0"], "folner.kind: zd_box needs a group Z or Z^d"),
+    ],
+)
+def test_group_kind_mismatch_wording(argv, line, capsys):
+    assert expect_exit(argv, 2, capsys) == f"error[ConfigError]: {line}\n"

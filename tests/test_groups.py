@@ -672,3 +672,22 @@ def test_builtin_counts_build_no_group_elements(monkeypatch):
     # iterating a subset is what builds its elements, once
     F = seq.subset(4)
     assert list(F) == list(F) and len(built) == 4
+
+
+@pytest.mark.parametrize(
+    "group_id, kind, message",
+    [
+        ("Z^2", "z_interval", "z_interval needs the group Z, not 'Z^2'"),
+        ("heisenberg", "z_interval", "z_interval needs the group Z, not 'heisenberg'"),
+        ("heisenberg", "zd_box", "zd_box needs a group Z or Z^d"),
+        ("Z", "heisenberg_box", "heisenberg_box needs the Heisenberg group"),
+        ("Z^3", "heisenberg_box", "heisenberg_box needs the Heisenberg group"),
+    ],
+)
+def test_folner_sequence_rejects_contradictory_group_and_kind(group_id, kind, message):
+    with pytest.raises(GroupMismatchError) as raised:
+        fl.FolnerSequence(group_id, kind)
+    assert str(raised.value) == message
+    with pytest.raises(GroupMismatchError) as raised:
+        fl.sequence_from_dict({"group": group_id, "kind": kind})
+    assert str(raised.value) == message

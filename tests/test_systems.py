@@ -353,6 +353,9 @@ def _circle_reference(x, alphas, g):
         (fl.heisenberg_rotation("1/6", "3/8"), fl.heisenberg_boxes(), 1),
         (fl.product_system(fl.rotation("golden")), fl.z_intervals("right"), 30),
         (fl.product_system(fl.zd_rotation(["1/3", "golden"])), fl.zd_boxes(2), 2),
+        # coordinates past int64 reach the action as Python ints
+        (fl.rotation("golden"), fl.explicit_sequence([fl.FiniteSubset.from_coords(
+            "Z", [[2**70], [-3], [1 - 2**71], [5]], sort=False)]), 1),
     ],
     ids=lambda v: getattr(v, "system_id", None) or getattr(v, "kind", None) or str(v),
 )
@@ -554,3 +557,12 @@ def test_product_of_product_composes():
     rng = random.Random(30)
     x = random_point(rng, prod2)
     assert fl.metric(prod2, x, x) == 0.0
+
+
+def test_package_exports_each_module_name_as_the_same_object():
+    modules = [fl.errors, fl.groups, fl.words, fl.systems, fl.measures,
+               fl.transport, fl.analysis]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fl, name) is getattr(module, name), (module.__name__, name)
+    assert sorted(fl.__all__) == sorted({n for m in modules for n in m.__all__})
