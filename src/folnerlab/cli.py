@@ -142,6 +142,10 @@ def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
     )
     kind = folner["kind"]
     try:
+        groups.group_rank(group_id)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "group") from None
+    try:
         if kind == "z_interval":
             anchor = folner.get("anchor", "left")
             return groups.FolnerSequence(group_id, kind, anchor=anchor)
@@ -662,6 +666,8 @@ def _suite_folner_defects() -> list[_Check]:
 
 
 def _suite_temperedness() -> list[_Check]:
+    import random as _random
+
     checks = []
     seq = groups.z_intervals()
     report = groups.temperedness_report(seq, 32)
@@ -721,6 +727,35 @@ def _suite_temperedness() -> list[_Check]:
             "Heisenberg ratios match brute force (boxes n<=3, 2^33 coordinates)",
             ok,
             "exact",
+        )
+    )
+
+    # scattered coordinates put the product box past the bitmap cap, and
+    # 257 x 257 products span two key tiles
+    rng = _random.Random(11)
+    ok = True
+    for gid, spread in (("Z^2", 10**6), ("heisenberg", 10**3)):
+        rank = groups.group_rank(gid)
+        seq = groups.explicit_sequence(
+            [
+                groups.FiniteSubset.from_coords(
+                    gid,
+                    {tuple(rng.randint(-spread, spread) for _ in range(rank))
+                     for _ in range(257)},
+                )
+                for _ in range(2)
+            ]
+        )
+        first, second = seq.subsets
+        inverses = [groups.inverse(a) for a in first]
+        union = {groups.multiply(a, b).coords for a in inverses for b in second}
+        ratio = groups.temperedness_report(seq, 2).ratios[0]
+        ok &= ratio == Fraction(len(union), second.size)
+    checks.append(
+        _Check(
+            "sparse products past the bitmap cap match a tuple-set count",
+            ok,
+            "Z^2 and Heisenberg, two key tiles each",
         )
     )
     return checks

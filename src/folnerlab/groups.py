@@ -13,13 +13,17 @@ How the counts are made.  Each count is the size of a product set A*B:
 and the temperedness union is (union of F_k^{-1}) F_n.  When the
 coordinates fit in int64, every product a*b is packed into one int64 key
 over the box that holds all products, as ka + kb plus, for the Heisenberg
-group, a0*b1 in the c-column; no product coordinates are formed.  Keys
-are marked on a bool bitmap when the box has at most 2^24 cells, and
-otherwise collected as unique keys in a set.  Exact Python-int bounds are
-checked before each int64 step (inverses, the a0*b1 corners, a box under
-2^62 cells), so no step can wrap.  When a check fails, or a coordinate
-does not fit in int64, the products are counted as a set of Python-int
-tuples.
+group, a0*b1 in the c-column; no product coordinates are formed.  The
+keys are written one tile at a time, over row ranges of both A and B, into
+one int64 buffer of 64K cells (512 KB).  They are marked on a bool bitmap
+when the box has at most 2^24 cells, and otherwise kept as sorted int64
+arrays of distinct keys, one per tile, merged as they grow.  So a count
+needs its inputs, one 512 KB tile and a bitmap of at most 2^24 bytes, or
+past the bitmap cap the distinct keys themselves.  Exact Python-int bounds
+are checked before each int64 step (inverses, the a0*b1 corners, a box
+under 2^62 cells), so no step can wrap.  When a check fails, or a
+coordinate does not fit in int64, the products are counted as a set of
+Python-int tuples.
 
 How subsets are held.  A ``FiniteSubset`` keeps one read-only array of
 coordinate rows in its enumeration order: int64, or Python ints (dtype
@@ -72,8 +76,8 @@ _HEISENBERG = "heisenberg"
 
 # Keys for set cardinality are packed into int64; stay clear of the edge.
 _PACK_LIMIT = 1 << 62
-# Product keys are formed in chunks of at most this many cells (8 MB of int64).
-_CHUNK_CELLS = 1_000_000
+# Product keys are formed in one buffer of this many cells (512 KB of int64).
+_TILE_CELLS = 1 << 16
 # Key ranges up to this many cells are counted on a bool bitmap (16 MB).
 _BITMAP_CELLS = 1 << 24
 
@@ -85,9 +89,12 @@ def group_rank(group_id: str) -> int:
     if group_id == _HEISENBERG:
         return 3
     if group_id.startswith("Z^"):
-        d = int(group_id[2:])
-        if d < 2:
-            raise ValueError(f"bad lattice tag {group_id!r}; use 'Z' for d=1")
+        tail = group_id[2:]
+        d = int(tail) if tail.isascii() and tail.isdigit() else 0
+        if d < 2 or tail != str(d):
+            raise ValueError(
+                f"bad lattice tag {group_id!r}; use 'Z' for d=1 and 'Z^d' for d >= 2"
+            )
         return d
     raise ValueError(f"unknown group {group_id!r}")
 
@@ -423,6 +430,7 @@ class FolnerSequence:
     claimed_sides: frozenset[str] = frozenset({"left", "right"})
 
     def __post_init__(self) -> None:
+        group_rank(self.group_id)  # raises ValueError for an unknown tag
         if self.kind not in ("z_interval", "zd_box", "heisenberg_box", "explicit_list"):
             raise ValueError(f"unknown Folner kind {self.kind!r}")
         if self.kind == "z_interval" and self.group_id != "Z":
@@ -541,6 +549,15 @@ class TemperednessReport:
         return self.constant <= C
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, sorted."""
+    keys = np.sort(keys, kind="stable")  # merges the sorted runs it is given
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
     """|{a*b : a a row of A, b a row of B}|, counted exactly (module docstring).
 
@@ -548,6 +565,8 @@ def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
     c-column, where ka and kb pack A - min(A) and B - min(B) over the box of
     all products.  Every partial sum is nonnegative and at most the final key,
     which is below the box size, and the a0*b1 corners are checked to fit.
+    The keys are written tile by tile, over row ranges of A and of B, into
+    one buffer of at most _TILE_CELLS cells.
     """
     rank = A.shape[1]
     c_lo = c_hi = 0
@@ -573,22 +592,37 @@ def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
     ka = (A - A.min(axis=0)) @ strides
     kb = (B - B.min(axis=0)) @ strides
     bitmap = np.zeros(cells, dtype=bool) if cells <= _BITMAP_CELLS else None
-    keys: set[int] = set()
-    step = max(_CHUNK_CELLS // len(B), 1)
-    for start in range(0, len(A), step):
-        stop = start + step
-        if gid == _HEISENBERG:
-            block = np.multiply.outer(A[start:stop, 0], B[:, 1])
-            block -= c_lo
-            block += ka[start:stop, None]
-            block += kb[None, :]
-        else:
-            block = ka[start:stop, None] + kb[None, :]
-        if bitmap is not None:
-            bitmap[block.ravel()] = True
-        else:
-            keys.update(np.unique(block).tolist())
-    return int(np.count_nonzero(bitmap)) if bitmap is not None else len(keys)
+    # past the bitmap cap: sorted runs of distinct keys, merged into the
+    # first run once the others hold as many keys as it does
+    sparse: list[np.ndarray] = []
+    pending = 0
+    tile = np.empty(min(len(A) * len(B), _TILE_CELLS), dtype=np.int64)
+    cols = min(len(B), _TILE_CELLS)
+    rows = _TILE_CELLS // cols
+    for s in range(0, len(A), rows):
+        t = min(s + rows, len(A))
+        for u in range(0, len(B), cols):
+            w = min(u + cols, len(B))
+            keys = tile[: (t - s) * (w - u)]
+            block = keys.reshape(t - s, w - u)
+            if gid == _HEISENBERG:
+                np.multiply.outer(A[s:t, 0], B[u:w, 1], out=block)
+                block -= c_lo
+                block += ka[s:t, None]
+                block += kb[None, u:w]
+            else:
+                np.add(ka[s:t, None], kb[None, u:w], out=block)
+            if bitmap is not None:
+                bitmap[keys] = True
+                continue
+            sparse.append(_distinct(keys))
+            pending += len(sparse[-1])
+            if pending >= 2 * len(sparse[0]):
+                sparse = [_distinct(np.concatenate(sparse))]
+                pending = len(sparse[0])
+    if bitmap is not None:
+        return int(np.count_nonzero(bitmap))
+    return len(_distinct(np.concatenate(sparse)))
 
 
 def temperedness_report(seq: FolnerSequence, upto: int) -> TemperednessReport:

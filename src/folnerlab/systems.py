@@ -319,21 +319,17 @@ def _lattice_characters(d: int) -> Iterator[tuple[int, ...]]:
 
 
 def _interval_power(value: float, n: int) -> float:
-    # x -> x^2 iterated n times (or its inverse sqrt for n < 0); the fixed
-    # points 0.0 and 1.0 are exact, so iteration can stop there.  Once a
-    # trajectory underflows into a fixed point it stays there, so composing
-    # opposite-sign powers across calls is only approximate near 0 and 1.
+    # x -> x^2 iterated n times (or its inverse sqrt for n < 0), stopped at a
+    # fixed point: 0.0 and 1.0 for both maps, and 1 - 2^-53 for sqrt, which
+    # sqrt reaches within 64 steps from any positive double below it.  Once a
+    # trajectory settles it stays there, so composing opposite-sign powers
+    # across calls is only approximate near 0 and 1.
     v = value
-    if n >= 0:
-        for _ in range(n):
-            if v == 0.0 or v == 1.0:
-                break
-            v = v * v
-    else:
-        for _ in range(-n):
-            if v == 0.0 or v == 1.0:
-                break
-            v = math.sqrt(v)
+    for _ in range(abs(n)):
+        w = v * v if n >= 0 else math.sqrt(v)
+        if w == v:
+            break
+        v = w
     return v
 
 

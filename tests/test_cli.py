@@ -631,3 +631,18 @@ def test_console_script_runs(tmp_path):
 )
 def test_group_kind_mismatch_wording(argv, line, capsys):
     assert expect_exit(argv, 2, capsys) == f"error[ConfigError]: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["defect", "--group", "foo", "--kind", "zd_box", "--n", "2", "--g", "1"],
+         "group: unknown group 'foo'"),
+        (["tempered", "--group", "Z^1", "--kind", "zd_box", "--upto", "3"],
+         "group: bad lattice tag 'Z^1'; use 'Z' for d=1 and 'Z^d' for d >= 2"),
+        (["tempered", "--group", "foo", "--kind", "z_interval", "--upto", "3"],
+         "group: unknown group 'foo'"),
+    ],
+)
+def test_unknown_group_tag_is_a_config_error(argv, line, capsys):
+    assert expect_exit(argv, 2, capsys) == f"error[ConfigError]: {line}\n"

@@ -1,7 +1,10 @@
 """Group arithmetic, defects, temperedness, and extraction."""
 
 import itertools
+import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -691,3 +694,96 @@ def test_folner_sequence_rejects_contradictory_group_and_kind(group_id, kind, me
     with pytest.raises(GroupMismatchError) as raised:
         fl.sequence_from_dict({"group": group_id, "kind": kind})
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "group_id, kind, message",
+    [
+        ("foo", "zd_box", "unknown group 'foo'"),
+        ("Z^1", "zd_box", "bad lattice tag 'Z^1'"),
+        ("Z^x", "zd_box", "bad lattice tag 'Z^x'"),
+        ("Z^02", "zd_box", "bad lattice tag 'Z^02'"),
+        ("foo", "explicit_list", "unknown group 'foo'"),
+    ],
+)
+def test_folner_sequence_rejects_unknown_group_tags(group_id, kind, message):
+    # the tag is checked when the sequence is made, not at its first subset
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fl.FolnerSequence(group_id, kind)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fl.sequence_from_dict({"group": group_id, "kind": kind, "params": {"subsets": []}})
+
+
+# ---------------------------------------------------------------------------
+# key tiles: product keys are formed in one buffer of _TILE_CELLS cells
+
+
+def assert_product_size_matches_naive(gid, A, B):
+    count = fl.groups._product_size(
+        gid, np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    )
+    assert count == len(naive_product_set(gid, A, B))
+
+
+def test_product_wider_than_one_tile_matches_tuple_sets():
+    tile = fl.groups._TILE_CELLS
+    rng = random.Random(41)
+    B = [(rng.randint(-3 * tile, 3 * tile),) for _ in range(tile + 300)]
+    assert_product_size_matches_naive("Z", [(0,), (7,), (tile,)], B)
+    B2 = [(rng.randint(-400, 400), rng.randint(-400, 400)) for _ in range(tile + 5)]
+    assert_product_size_matches_naive("Z^2", [(0, 0), (1, -2)], B2)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_products_at_the_tile_size_match_tuple_sets(extra):
+    # |A||B| = tile - 1 = 255 * 257, tile = 256 * 256 and tile + 1 (a prime)
+    tile = fl.groups._TILE_CELLS
+    cells = tile + extra
+    rng = random.Random(43 + extra)
+    a_len = next(k for k in range(int(math.isqrt(cells)), 0, -1) if cells % k == 0)
+    for a_rows, b_rows in ((a_len, cells // a_len), (cells // a_len, a_len)):
+        A = [(rng.randint(-900, 900), rng.randint(-9, 9)) for _ in range(a_rows)]
+        B = [(rng.randint(-900, 900), rng.randint(-9, 9)) for _ in range(b_rows)]
+        assert_product_size_matches_naive("Z^2", A, B)
+
+
+def test_heisenberg_product_over_several_tiles_matches_tuple_sets():
+    tile = fl.groups._TILE_CELLS
+    rng = random.Random(47)
+    A = [tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(300)]
+    B = [tuple(rng.randint(-12, 12) for _ in range(3)) for _ in range(700)]
+    assert len(A) * len(B) > 3 * tile
+    assert_product_size_matches_naive("heisenberg", A, B)
+    # and on the sparse path, with c-columns that make the box pass the cap
+    A = [(rng.randint(-500, 500), rng.randint(-500, 500), rng.randint(-9, 9))
+         for _ in range(300)]
+    assert_product_size_matches_naive("heisenberg", A, B)
+
+
+def test_sparse_product_past_the_bitmap_cap_with_1e5_keys():
+    # intervals [a, a + 300) and [a + 100, a + 400) for 400 far-apart a: the
+    # box has about 10^8 cells, so the keys are merged as sorted int64 runs,
+    # and pairs of rows repeat keys within a tile and across tiles
+    rng = random.Random(53)
+    starts = rng.sample(range(0, 10**8, 1000), 400)
+    A = [(a + shift,) for a in starts for shift in (0, 100)]
+    B = [(b,) for b in range(300)]
+    assert len(A) * len(B) > 3 * fl.groups._TILE_CELLS
+    assert len(naive_product_set("Z", A, B)) == 400 * 400
+    assert_product_size_matches_naive("Z", A, B)
+    assert_product_size_matches_naive("Z", sorted(A), B)
+
+
+def test_exact_counts_run_in_bounded_memory():
+    # a count holds its inputs, one 512 KB key tile and a bitmap of the
+    # product box, which is small for these boxes
+    for seq, upto in ((fl.heisenberg_boxes(), 4), (fl.zd_boxes(3), 5)):
+        expected = fl.temperedness_report(seq, upto)
+        tracemalloc.start()
+        try:
+            report = fl.temperedness_report(seq, upto)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == expected
+        assert peak < 2 * 2**20, (seq.kind, peak)

@@ -1,9 +1,12 @@
 """Catalog systems: action laws, metric axioms, vectorized-path agreement."""
 
 import math
+import os
 import random
+import subprocess
 import sys as sysmod
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +189,32 @@ def test_interval_action_hits_fixed_points():
     # on the largest double below 1 instead of reaching 1.0 itself
     assert backward.payload == 1.0 - 2.0**-53
     assert fl.act(sys_obj, fl.element("Z", -1), backward) == backward
+
+
+def test_interval_orbit_at_exponent_minus_2_pow_70_returns():
+    # sqrt parks on 1 - 2^-53 within 64 steps, so the orbit must stop there
+    # instead of running 2^70 of them; a subprocess keeps a regression from
+    # hanging the suite
+    code = (
+        "import folnerlab as fl\n"
+        "sys_obj = fl.interval_square()\n"
+        "x = fl.interval_point(sys_obj, 0.3)\n"
+        "F = fl.FiniteSubset.from_coords('Z', [[-(2**70)], [-(2**70) + 1], [3]])\n"
+        "print(repr([p.payload for p in fl.orbit_sample(sys_obj, x, F)]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sysmod.executable, "-c", code], capture_output=True, text=True,
+        timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sys_obj = fl.interval_square()
+    x = fl.interval_point(sys_obj, 0.3)
+    parked = fl.act(sys_obj, fl.element("Z", -200), x).payload
+    assert parked == 1.0 - 2.0**-53
+    forward = fl.act(sys_obj, fl.element("Z", 3), x).payload
+    assert proc.stdout.strip() == repr([parked, parked, forward])
 
 
 def test_interval_orbit_on_unsorted_gapped_elements_equals_act():
