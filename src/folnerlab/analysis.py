@@ -14,17 +14,21 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import FolnerlabError, UnsupportedCaseError
 from .groups import FiniteSubset, FolnerSequence
 from .measures import (
     EmpiricalMeasure,
     Observable,
     ObservableFamily,
+    _everywhere,
+    _integrals,
     _measure_on,
+    _rho_sum,
+    _rho_terms,
     empirical_measure,
-    integrate,
     observable_family,
-    rho_distance,
 )
 from .systems import GSystem, SystemPoint, metric, orbit_sample, pair_point, space_of
 from .transport import assignment_min, orbit_cost_matrix, wasserstein_empirical
@@ -70,27 +74,51 @@ def _rows(F: FiniteSubset) -> list[tuple[int, ...]]:
     return list(map(tuple, F.coords_array().tolist()))
 
 
-def _measures_along(
+def _orbit_along(
     sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
-) -> list[EmpiricalMeasure]:
-    """The empirical measures of x over each subset, acting by each g only once.
+) -> tuple[list[SystemPoint], list[np.ndarray]]:
+    """The orbit of x over the union of the subsets, and each subset's positions in it.
 
-    The orbit is built over the last subset first and kept in one dict keyed
-    by coordinate row, so for a nested sequence every earlier subset is a
-    lookup; a row outside it is acted on when first met.
+    Each g is acted on only once.  The orbit is built over the last subset
+    first, with one dict from coordinate row to position, so for a nested
+    sequence every earlier subset is a lookup; a row outside it is acted on
+    when first met.
     """
-    points: dict[tuple[int, ...], SystemPoint] = {}
-    measures = []
+    index: dict[tuple[int, ...], int] = {}
+    atoms: list[SystemPoint] = []
+    positions = []
     for F in reversed(subsets):
         rows = _rows(F)
-        missing = [g for g in rows if g not in points]
+        missing = [g for g in rows if g not in index]
         if missing:
             part = F
             if len(missing) < F.size:
                 part = FiniteSubset.from_coords(F.group_id, missing, sort=False)
-            points.update(zip(missing, orbit_sample(sys, x, part)))
-        measures.append(_measure_on(sys, x, F, [points[g] for g in rows]))
-    return measures[::-1]
+            index.update(zip(missing, range(len(atoms), len(atoms) + len(missing))))
+            atoms.extend(orbit_sample(sys, x, part))
+        positions.append(np.fromiter(map(index.__getitem__, rows), np.intp, len(rows)))
+    return atoms, positions[::-1]
+
+
+def _measures_on(
+    sys: GSystem,
+    x: SystemPoint,
+    subsets: Sequence[FiniteSubset],
+    atoms: Sequence[SystemPoint],
+    positions: Sequence[np.ndarray],
+) -> list[EmpiricalMeasure]:
+    """The empirical measures of x over each subset, given _orbit_along's orbit."""
+    return [
+        _measure_on(sys, x, F, [atoms[p] for p in pos.tolist()])
+        for F, pos in zip(subsets, positions)
+    ]
+
+
+def _measures_along(
+    sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
+) -> list[EmpiricalMeasure]:
+    """The empirical measures of x over each subset, acting by each g only once."""
+    return _measures_on(sys, x, subsets, *_orbit_along(sys, x, subsets))
 
 
 @dataclass(frozen=True)
@@ -406,6 +434,17 @@ def modulus_estimate(
 # Unique ergodicity and generic measures
 
 
+def _integrated(
+    measures: Sequence[EmpiricalMeasure], family: ObservableFamily, N: int
+) -> tuple[list[Observable], list[list[float]]]:
+    """rho's N terms, and each measure's integrals of them, once per measure.
+
+    A lone measure has no pair to compare, so N is not checked for it.
+    """
+    terms = _rho_terms(family, N) if len(measures) > 1 else []
+    return terms, [_integrals(mu.atoms, _everywhere(mu), terms)[0] for mu in measures]
+
+
 @dataclass(frozen=True)
 class UniqueErgodicityReport:
     n: int
@@ -460,13 +499,14 @@ def unique_ergodicity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
+    terms, integrals = _integrated(measures, family, N)
     rows = []
     max_w = 0.0
     max_rho = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             w = wasserstein_empirical(measures[i], measures[j], tol)
-            rho = rho_distance(measures[i], measures[j], family, N).value
+            rho = _rho_sum(terms, integrals[i], integrals[j])
             max_w = max(max_w, w)
             max_rho = max(max_rho, rho)
             rows.append((i, j, w, rho))
@@ -512,11 +552,12 @@ def generic_measure_trace(
         raise ValueError("need at least two indices for a Cauchy diagnostic")
     if family is None:
         family = observable_family(sys)
-    measures = tuple(_measures_along(sys, x, [seq.subset(n) for n in indices]))
-    gaps = tuple(
-        rho_distance(a, b, family, N).value
-        for a, b in zip(measures, measures[1:])
-    )
+    subsets = [seq.subset(n) for n in indices]
+    atoms, positions = _orbit_along(sys, x, subsets)
+    measures = tuple(_measures_on(sys, x, subsets, atoms, positions))
+    terms = _rho_terms(family, N)
+    table = _integrals(atoms, positions, terms)
+    gaps = tuple(_rho_sum(terms, a, b) for a, b in zip(table, table[1:]))
     return GenericMeasureTrace(indices, measures, gaps)
 
 
@@ -556,10 +597,11 @@ def measure_map_continuity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in grid]
+    terms, integrals = _integrated(measures, family, N)
     rows = []
     for i in range(len(grid) - 1):
         d = metric(sys, grid[i], grid[i + 1], tol)
-        r = rho_distance(measures[i], measures[i + 1], family, N).value
+        r = _rho_sum(terms, integrals[i], integrals[i + 1])
         rows.append((i, d, r))
     return ContinuityReport(n, tuple(rows))
 
@@ -598,8 +640,9 @@ def uniform_convergence_diagnostic(
     # grid points outside: one orbit is alive at a time
     averages: dict[int, list[float]] = {k: [] for k in ks}
     for p in grid:
-        for k, mu in zip(ks, _measures_along(sys, p, subsets)):
-            averages[k].append(integrate(mu, f))
+        atoms, positions = _orbit_along(sys, p, subsets)
+        for k, (value,) in zip(ks, _integrals(atoms, positions, [f])):
+            averages[k].append(value)
     rows = tuple(
         (n, m, max(abs(a - b) for a, b in zip(averages[n], averages[m])))
         for n, m in index_pairs

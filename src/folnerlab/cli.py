@@ -148,6 +148,12 @@ def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
     try:
         if kind == "z_interval":
             anchor = folner.get("anchor", "left")
+            _string(anchor, "folner.anchor")
+            if anchor not in ("left", "right"):
+                raise ConfigError(
+                    f"expected 'left' or 'right', got {json.dumps(anchor)}",
+                    "folner.anchor",
+                )
             return groups.FolnerSequence(group_id, kind, anchor=anchor)
         if kind in ("zd_box", "heisenberg_box"):
             return groups.FolnerSequence(group_id, kind)
@@ -805,6 +811,80 @@ def _suite_wasserstein_axioms() -> list[_Check]:
     return checks
 
 
+def _suite_weak_star() -> list[_Check]:
+    import math
+    import random as _random
+
+    rng = _random.Random(3)
+    rotation = systems.rotation("golden")
+    left, right = groups.z_intervals(), groups.z_intervals("right")
+    cases = [
+        (rotation, left, [3, 8, 20]),
+        (systems.full_shift(), left, [3, 8, 20]),
+        (systems.interval_square(), right, [3, 8, 20]),
+        (systems.two_rotations(), left, [3, 8, 20]),
+        (systems.heisenberg_rotation(), groups.heisenberg_boxes(), [1, 2]),
+        (systems.product_system(rotation), right, [3, 8, 20]),
+    ]
+
+    def near_pair(sys_obj: systems.GSystem) -> tuple:
+        if sys_obj.space_kind != "product":
+            return systems.space_of(sys_obj).near_pair(sys_obj, rng, 0.1)
+        (x1, y1), (x2, y2) = map(near_pair, sys_obj.factors)
+        return systems.pair_point(sys_obj, x1, x2), systems.pair_point(sys_obj, y1, y2)
+
+    zero_self = symmetric = shared = True
+    for sys_obj, seq, indices in cases:
+        x, y = near_pair(sys_obj)
+        subsets = [seq.subset(n) for n in indices]
+        family = measures.observable_family(sys_obj)
+        terms = [family.observable(i) for i in range(1, 41)]
+        table = measures._integrals(*analysis._orbit_along(sys_obj, x, subsets), terms)
+        for F, row in zip(subsets, table):
+            mu = measures.empirical_measure(sys_obj, x, F)
+            shared &= row == [measures.integrate(mu, f) for f in terms]
+        mu, nu = (measures.empirical_measure(sys_obj, p, subsets[-1]) for p in (x, y))
+        zero_self &= measures.rho_distance(mu, mu).value == 0.0
+        symmetric &= (
+            measures.rho_distance(mu, nu).value == measures.rho_distance(nu, mu).value
+        )
+    kinds = "every space kind and a product"
+    checks = [
+        _Check("rho(mu, mu) is zero", zero_self, kinds),
+        _Check("rho is symmetric bit for bit", symmetric, kinds),
+        _Check(
+            "integrals over a shared orbit equal per-measure integrate bit for bit",
+            shared,
+            f"{kinds}, 40 observables",
+        ),
+    ]
+
+    # |A_n cos(2 pi j .)| and |A_n sin(2 pi j .)| along an interval are at
+    # most 2 / (n |1 - e^{2 pi i j alpha}|), so each rho term is bounded
+    def bound(n: int, j: int) -> float:
+        theta = 2.0 * math.pi * j * float(rotation.param("alphas")[0])
+        return min(1.0, 2.0 / (n * abs(complex(1.0 - math.cos(theta), math.sin(theta)))))
+
+    indices = [100, 200, 300, 400]
+    x = systems.circle_point(rotation, Fraction(rng.getrandbits(32), 1 << 32))
+    trace = analysis.generic_measure_trace(rotation, x, groups.z_intervals(), indices)
+    worst = max(
+        rho - math.fsum(
+            (bound(n, (i + 1) // 2) + bound(m, (i + 1) // 2)) / math.ldexp(2.0, i)
+            for i in range(1, 41)
+        )
+        for n, m, rho in zip(indices, indices[1:], trace.consecutive_rho)
+    )
+    checks.append(
+        _Check(
+            "golden-rotation trace stays under the character bound",
+            worst <= 1e-12,
+            f"indices {indices}, largest excess {worst:.2e}",
+        )
+    )
+    return checks
+
+
 def _suite_reproducibility() -> list[_Check]:
     config = {
         "system": {"name": "rotation", "params": {"alpha": "golden"}},
@@ -837,6 +917,7 @@ _SUITES: dict[str, Callable[[], list[_Check]]] = {
     "folner-defects": _suite_folner_defects,
     "temperedness": _suite_temperedness,
     "wasserstein-axioms": _suite_wasserstein_axioms,
+    "weak-star": _suite_weak_star,
     "reproducibility": _suite_reproducibility,
 }
 

@@ -3,22 +3,32 @@
 The weak-* metric is built from a fixed, documented observable family per
 space; comparing values produced with different families is meaningless and
 never done here.  Each space kind's ``Space`` in ``systems`` owns its family
-and the views its observables read; the ``systems`` docstring tables both.
+and the per-orbit view arrays its observables read; the ``systems``
+docstring tables both.
+
+Integrals come from one evaluation per orbit point: ``_integrals`` runs each
+observable once over an orbit, as one batch for a family observable, and
+takes the integral over each subset of the orbit from those values.  The
+sum is ``math.fsum``, exactly rounded, so the order of the points does not
+change it, and an integral over a shared orbit equals ``integrate`` on the
+subset's own measure bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import SystemMismatchError
 from .groups import FiniteSubset
 from .systems import (
-    GSystem, Observable, ObservableFamily, SystemPoint, _ViewObservable, atom_header,
-    atom_row, orbit_sample, point_to_dict, space_of,
+    GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _reader,
+    atom_header, atom_row, orbit_sample, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -42,19 +52,10 @@ class EmpiricalMeasure:
     system: GSystem
     atoms: tuple[SystemPoint, ...]
     origin: tuple[str, str]
-    # view -> [view(a) for a in atoms], filled on first use; not part of the value
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("an empirical measure needs at least one atom")
-
-    def _view(self, view: Callable[[SystemPoint], object]) -> list:
-        try:
-            return self._views[view]
-        except KeyError:
-            values = self._views[view] = [view(a) for a in self.atoms]
-            return values
 
     @property
     def count(self) -> int:
@@ -88,6 +89,37 @@ def observable_family(sys: GSystem) -> ObservableFamily:
     return ObservableFamily(sys.system_id, space_of(sys).observables(sys))
 
 
+def _integrals(
+    atoms: Sequence[SystemPoint],
+    positions: Sequence[np.ndarray],
+    observables: Sequence[Observable | Callable[[SystemPoint], float]],
+) -> list[list[float]]:
+    """table[k][i] = (1/|F_k|) * fsum of observables[i] over atoms[positions[k]].
+
+    Each observable is evaluated once per atom: a family observable as one
+    batch over all the atoms, any other per atom.  ``positions[k]`` holds the
+    indices into ``atoms`` of the k-th subset's points.
+    """
+    read = _reader(atoms)
+    columns = []
+    for f in observables:
+        if isinstance(f, _BatchObservable):
+            columns.append(f.batch(read))
+        else:
+            fn = f.fn if isinstance(f, Observable) else f
+            # object dtype keeps each returned value as fsum would see it
+            columns.append(np.fromiter(map(fn, atoms), object, len(atoms)))
+    return [
+        [math.fsum(values[pos].tolist()) / len(pos) for values in columns]
+        for pos in positions
+    ]
+
+
+def _everywhere(mu: EmpiricalMeasure) -> list[np.ndarray]:
+    """The positions of a measure's own atoms, as the one subset of _integrals."""
+    return [np.arange(mu.count)]
+
+
 def integrate(
     mu: EmpiricalMeasure, f: Observable | Callable[[SystemPoint], float], tol: float = 1e-9
 ) -> float:
@@ -98,11 +130,7 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(f, _ViewObservable):
-        values = map(f.on_view, mu._view(f.view))
-    else:
-        values = map(f.fn if isinstance(f, Observable) else f, mu.atoms)
-    return math.fsum(values) / mu.count
+    return _integrals(mu.atoms, _everywhere(mu), [f])[0][0]
 
 
 def birkhoff_average(
@@ -134,21 +162,31 @@ def rho_distance(
     The returned value is a lower bound for the full series; value plus
     tail_bound = 2^(1-N) is an upper bound.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    if family is None:
+        family = observable_family(mu.system)
+    terms = _rho_terms(family, N)
     if mu.system.system_id != nu.system.system_id:
         raise SystemMismatchError(
             f"measures live on different spaces: {mu.system.system_id!r} "
             f"vs {nu.system.system_id!r}"
         )
-    if family is None:
-        family = observable_family(mu.system)
-    terms = []
-    for i in range(1, N + 1):
-        f = family.observable(i)
-        gap = abs(integrate(mu, f) - integrate(nu, f))
-        terms.append(gap / (math.ldexp(1.0, i) * (f.sup_norm + 1.0)))
-    return MeasureDistanceResult(math.fsum(terms), math.ldexp(1.0, 1 - N), N)
+    a, b = (_integrals(m.atoms, _everywhere(m), terms)[0] for m in (mu, nu))
+    return MeasureDistanceResult(_rho_sum(terms, a, b), math.ldexp(1.0, 1 - N), N)
+
+
+def _rho_terms(family: ObservableFamily, N: int) -> list[Observable]:
+    """The first N observables of the family, rho's terms."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    return [family.observable(i) for i in range(1, N + 1)]
+
+
+def _rho_sum(terms: Sequence[Observable], a: Sequence[float], b: Sequence[float]) -> float:
+    """rho's partial sum, given each term's integral under the two measures."""
+    return math.fsum(
+        abs(x - y) / (math.ldexp(1.0, i) * (f.sup_norm + 1.0))
+        for i, (f, x, y) in enumerate(zip(terms, a, b), start=1)
+    )
 
 
 def measure_csv_table(mu: EmpiricalMeasure) -> tuple[list[str], list[list[str]]]:

@@ -31,19 +31,20 @@ Payloads, and the observable families (1-based index i), per space kind:
             h(x, y) = f_i(x) * g_j(y) with factor indices (i, j) walked along
             anti-diagonals i + j = 1, 2, ... (index 0 means the constant 1)
 
-Every family observable reads a point through a view shared by many
-observables, and is ``on_view(view(p))``:
-  circle    the payload as a float
-  torus     the tuple of coordinate floats
-  shift     the symbol window of radius r (one view per radius)
-  interval  the payload
-  union     (component tag, float)
-  product   the pair of the two factor views
-An empirical measure computes a view once for all its atoms and keeps it, so
-``integrate`` applies only ``on_view`` per atom; the values are bit for bit
-those of ``fn``, which performs the same float operations in the same order.
-Plain callables, and observables built directly from ``fn``, still run on
-every atom.
+Every family observable is one formula over a per-orbit view array, built
+once per orbit and shared by the observables that read it:
+  circle    the float64 array of ``coords`` (float of each payload)
+  torus     the (n, d) float64 array of ``coords``
+  shift     an int8 window array of shape (n, 2r+1), the symbols at
+            positions -r..r, one per radius r
+  interval  the float64 array of ``coords`` (the payloads)
+  union     the pair (tags, floats) of ``coords``, tag 0 for component a
+  product   the pair of the two factors' arrays
+numpy applies only +, -, *, comparisons and ``where`` to these arrays;
+cos, sin and x**j run element by element on Python floats (``tolist``), so
+every value is bit for bit the float formula applied to one point.  ``fn(p)``
+is the same formula over a one-point orbit.  Plain callables, and
+observables built directly from ``fn``, run on every atom.
 
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
@@ -240,66 +241,76 @@ class ObservableFamily:
 
 
 @dataclass(frozen=True)
-class _ViewObservable(Observable):
-    """An observable whose fn is on_view(view(p)); measures cache the view."""
+class _BatchObservable(Observable):
+    """A family observable: ``batch(read)`` is its formula over a whole orbit.
 
-    view: Callable[[SystemPoint], object]
-    on_view: Callable[[object], float]
+    ``read(view)`` returns the view's array over the orbit's points, built
+    once per orbit and shared by every observable that reads it; ``fn`` is
+    the same formula over a one-point orbit.
+    """
 
-
-def _viewed(
-    name: str,
-    view: Callable[[SystemPoint], object],
-    on_view: Callable[[object], float],
-    sup_norm: float = 1.0,
-) -> Observable:
-    return _ViewObservable(name, sup_norm, lambda p: on_view(view(p)), view, on_view)
+    batch: Callable[[Callable[[object], object]], np.ndarray]
 
 
-def _float_payload(p: SystemPoint) -> float:
-    return float(p.payload)
+def _reader(points: Sequence[SystemPoint]) -> Callable[[object], object]:
+    """read(view) = view(points), computed on first use and then kept."""
+    arrays: dict = {}
+
+    def read(view):
+        try:
+            return arrays[view]
+        except KeyError:
+            value = arrays[view] = view(points)
+            return value
+
+    return read
 
 
-def _float_coords(p: SystemPoint) -> tuple[float, ...]:
-    return tuple(float(c) for c in p.payload)
+def _batched(name: str, batch, sup_norm: float = 1.0) -> Observable:
+    def fn(p: SystemPoint) -> float:
+        return float(batch(_reader([p]))[0])
+
+    return _BatchObservable(name, sup_norm, fn, batch)
 
 
-def _payload(p: SystemPoint) -> object:
-    return p.payload
+def _elementwise(fn: Callable, arr: np.ndarray, *args) -> np.ndarray:
+    """fn on each element as Python floats (math.cos, math.sin, operator.pow)."""
+    return np.fromiter(map(fn, arr.tolist(), *args), np.float64, len(arr))
 
 
-def _tagged_float(p: SystemPoint) -> tuple[str, float]:
-    return p.payload[0], float(p.payload[1])
+def _coords_view(space: "Space", sys: "GSystem") -> Callable:
+    # one view object per family, so its observables share the array; these
+    # kinds' coords ignore the tol, which picks only a shift's symbol depth
+    return lambda points: space.coords(sys, points, 1.0)
 
 
-def _no_view(p: SystemPoint) -> None:
-    return None
+_WAVES = (("cos", math.cos), ("sin", math.sin))
+
+# the constant 1, a product's factor at index 0; its batch broadcasts
+_ONE = _BatchObservable("one", 1.0, lambda p: 1.0, lambda read: 1.0)
 
 
 @dataclass(frozen=True)
 class _Window:
-    """The symbols of a shift point at positions -radius..radius.
-
-    Views that compare equal share one cache entry in a measure, so the
-    families of separate observable_family calls share their windows.
-    """
+    """The int8 symbols of shift points at positions -radius..radius, one row each."""
 
     radius: int
 
-    def __call__(self, p: SystemPoint) -> tuple[int, ...]:
-        word = p.payload
-        return tuple(word.symbol(k) for k in range(-self.radius, self.radius + 1))
+    def __call__(self, points: Sequence[SystemPoint]) -> np.ndarray:
+        span = range(-self.radius, self.radius + 1)
+        rows = [[p.payload.symbol(k) for k in span] for p in points]
+        return np.array(rows, dtype=np.int8).reshape(-1, len(span))
 
 
 @dataclass(frozen=True)
-class _PairView:
-    """The two factor views of a product point."""
+class _Side:
+    """A factor view read on one side (0 or 1) of product points."""
 
-    left: Callable[[SystemPoint], object]
-    right: Callable[[SystemPoint], object]
+    side: int
+    view: Callable
 
-    def __call__(self, p: SystemPoint) -> tuple[object, object]:
-        return self.left(p.payload[0]), self.right(p.payload[1])
+    def __call__(self, points: Sequence[SystemPoint]) -> object:
+        return self.view([p.payload[self.side] for p in points])
 
 
 def _lattice_characters(d: int) -> Iterator[tuple[int, ...]]:
@@ -440,11 +451,15 @@ class _Circle(Space):
         return circle_point(sys, x), circle_point(sys, x + _offset(rng, step))
 
     def observables(self, sys):
+        view = _coords_view(self, sys)
         j = 1
         while True:
             w = _TWO_PI * j
-            yield _viewed(f"cos_{j}", _float_payload, lambda v, w=w: math.cos(w * v))
-            yield _viewed(f"sin_{j}", _float_payload, lambda v, w=w: math.sin(w * v))
+            for name, wave in _WAVES:
+                yield _batched(
+                    f"{name}_{j}",
+                    lambda read, w=w, wave=wave: _elementwise(wave, w * read(view)),
+                )
             j += 1
 
 
@@ -502,18 +517,22 @@ class _Torus(Space):
         return torus_point(sys, xs), torus_point(sys, ys)
 
     def observables(self, sys):
+        view = _coords_view(self, sys)
         for k in _lattice_characters(len(sys.param("alphas"))):
             label = ",".join(map(str, k))
 
-            def phase(v: tuple[float, ...], k=k) -> float:
-                return _TWO_PI * sum(ki * c for ki, c in zip(k, v))
+            def phase(read, k=k) -> np.ndarray:
+                # k . v accumulated from 0.0 coordinate by coordinate, as sum() does
+                V, s = read(view), 0.0
+                for c, ki in enumerate(k):
+                    s = s + ki * V[:, c]
+                return _TWO_PI * s
 
-            yield _viewed(
-                f"cos[{label}]", _float_coords, lambda v, ph=phase: math.cos(ph(v))
-            )
-            yield _viewed(
-                f"sin[{label}]", _float_coords, lambda v, ph=phase: math.sin(ph(v))
-            )
+            for name, wave in _WAVES:
+                yield _batched(
+                    f"{name}[{label}]",
+                    lambda read, ph=phase, wave=wave: _elementwise(wave, ph(read)),
+                )
 
 
 class _Shift(Space):
@@ -578,10 +597,11 @@ class _Shift(Space):
             window = _Window(r)
             for pattern in itertools.product((0, 1), repeat=2 * r + 1):
                 label = "".join(map(str, pattern))
-                yield _viewed(
+                yield _batched(
                     f"cyl[{-r}..{r}={label}]",
-                    window,
-                    lambda v, pattern=pattern: 1.0 if v == pattern else 0.0,
+                    lambda read, window=window, pattern=pattern: np.where(
+                        np.all(read(window) == pattern, axis=1), 1.0, 0.0
+                    ),
                 )
             r += 1
 
@@ -632,9 +652,15 @@ class _Interval(Space):
         return interval_point(sys, x), interval_point(sys, y)
 
     def observables(self, sys):
+        view = _coords_view(self, sys)
         j = 1
         while True:
-            yield _viewed(f"pow_{j}", _payload, lambda v, j=j: v**j)
+            yield _batched(
+                f"pow_{j}",
+                lambda read, j=j: _elementwise(
+                    operator.pow, read(view), itertools.repeat(j)
+                ),
+            )
             j += 1
 
 
@@ -683,23 +709,24 @@ class _Union(Space):
         return union_point(sys, tag, x), union_point(sys, tag, x + _offset(rng, step))
 
     def observables(self, sys):
-        yield _viewed(
-            "component_a", _tagged_float, lambda v: 1.0 if v[0] == "a" else 0.0
+        view = _coords_view(self, sys)  # (tags, floats), tag 0 for component a
+        yield _batched(
+            "component_a", lambda read: np.where(read(view)[0] == 0, 1.0, 0.0)
         )
+
+        def on(tag: int, w: float, wave: Callable[[float], float]) -> Callable:
+            def batch(read):
+                tags, u = read(view)
+                return np.where(tags == tag, _elementwise(wave, w * u), 0.0)
+
+            return batch
+
         j = 1
         while True:
             w = _TWO_PI * j
-            for tag in ("a", "b"):
-                yield _viewed(
-                    f"cos_{j}@{tag}",
-                    _tagged_float,
-                    lambda v, w=w, tag=tag: math.cos(w * v[1]) if v[0] == tag else 0.0,
-                )
-                yield _viewed(
-                    f"sin_{j}@{tag}",
-                    _tagged_float,
-                    lambda v, w=w, tag=tag: math.sin(w * v[1]) if v[0] == tag else 0.0,
-                )
+            for tag, label in enumerate(("a", "b")):
+                for name, wave in _WAVES:
+                    yield _batched(f"{name}_{j}@{label}", on(tag, w, wave))
             j += 1
 
 
@@ -759,20 +786,23 @@ class _Product(Space):
         left, right = (
             ObservableFamily(f.system_id, space_of(f).observables(f)) for f in sys.factors
         )
-        one = _viewed("one", _no_view, lambda v: 1.0)
 
         def factor(family: ObservableFamily, idx: int) -> Observable:
-            return one if idx == 0 else family.observable(idx)
+            return _ONE if idx == 0 else family.observable(idx)
+
+        def on_side(read: Callable, side: int) -> Callable:
+            return lambda view: read(_Side(side, view))
 
         s = 1
         while True:
             for i in range(s + 1):
                 f = factor(left, i)
                 g = factor(right, s - i)
-                yield _viewed(
+                yield _batched(
                     f"{f.name}*{g.name}",
-                    _PairView(f.view, g.view),
-                    lambda v, f=f.on_view, g=g.on_view: f(v[0]) * g(v[1]),
+                    lambda read, f=f.batch, g=g.batch: (
+                        f(on_side(read, 0)) * g(on_side(read, 1))
+                    ),
                     f.sup_norm * g.sup_norm,
                 )
             s += 1

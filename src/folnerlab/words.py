@@ -95,6 +95,9 @@ class SturmianWord(Word):
         return ("sturmian", self.alpha, self.x0)
 
 
+_TWO_53 = float(1 << 53)
+
+
 class RandomWord(Word):
     """Seeded i.i.d. word; position k draws from random.Random(f"{seed}:{k}")."""
 
@@ -104,9 +107,14 @@ class RandomWord(Word):
         self.p_one = Fraction(p_one)
         if not 0 <= self.p_one <= 1:
             raise ValueError("p_one must lie in [0, 1]")
+        # random() is m / 2^53 for an integer m, so random() < p_one exactly
+        # when m * den < num * 2^53
+        self._den = self.p_one.denominator
+        self._scaled_num = self.p_one.numerator << 53
 
     def _compute(self, k: int) -> int:
-        return 1 if random.Random(f"{self.seed}:{k}").random() < self.p_one else 0
+        m = int(random.Random(f"{self.seed}:{k}").random() * _TWO_53)
+        return 1 if m * self._den < self._scaled_num else 0
 
     def key(self) -> tuple:
         return ("random", self.seed, self.p_one)

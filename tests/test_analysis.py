@@ -777,3 +777,32 @@ def test_diagnostics_build_no_group_elements(monkeypatch):
         fl.coupling_bounds_check(P, pairs, seq, indices)
         fl.birkhoff_average(sys_obj, f, x, seq.subset(indices[-1]))
     assert built == []
+
+
+def test_generic_measure_trace_evaluates_each_observable_once_per_orbit_point():
+    calls = []
+
+    def counting(i):
+        def fn(p):
+            calls.append(i)
+            return float(p.payload) * i
+
+        return fl.Observable(f"f{i}", 3.0, fn)
+
+    family = fl.ObservableFamily(GOLDEN.system_id, (counting(i) for i in (1, 2, 3)))
+    fl.generic_measure_trace(
+        GOLDEN, cpoint(Fraction(1, 7)), fl.z_intervals(), [25, 50, 100], family, N=3
+    )
+    assert len(calls) == 3 * 100
+
+
+def test_uniform_convergence_evaluates_f_once_per_orbit_point():
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return float(p.payload)
+
+    grid = [cpoint(Fraction(k, 4)) for k in range(4)]
+    fl.uniform_convergence_diagnostic(GOLDEN, f, grid, fl.z_intervals(), [(10, 40)])
+    assert len(calls) == 40 * len(grid)

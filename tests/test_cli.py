@@ -646,3 +646,24 @@ def test_group_kind_mismatch_wording(argv, line, capsys):
 )
 def test_unknown_group_tag_is_a_config_error(argv, line, capsys):
     assert expect_exit(argv, 2, capsys) == f"error[ConfigError]: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "anchor, line",
+    [
+        ("up", "folner.anchor: expected 'left' or 'right', got \"up\""),
+        (3, "folner.anchor: expected a string, got 3"),
+    ],
+)
+def test_bad_folner_anchor_is_a_config_error(tmp_path, anchor, line, capsys):
+    config = trace_config(folner={"kind": "z_interval", "anchor": anchor})
+    cfg = write_config(tmp_path, "cfg.json", config)
+    err = expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 2, capsys)
+    assert err == f"error[ConfigError]: {line}\n"
+
+
+def test_verify_weak_star_suite_passes(capsys):
+    assert main(["verify", "weak-star", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["suite"] == "weak-star"
+    assert [c["passed"] for c in payload["checks"]] == [True] * 4

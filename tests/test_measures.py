@@ -1,6 +1,7 @@
 """Empirical measures, observable families, and the weak-* distance rho."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -443,3 +444,98 @@ def test_filled_view_cache_is_not_part_of_the_measure():
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert len({used, fresh}) == 1
+
+
+# ---------------------------------------------------------------------------
+# integrals against the family formulas, written out per atom
+
+
+def _shells(d):
+    """Z^d minus 0 by sup-norm shell, lexicographic within a shell."""
+    r = 1
+    while True:
+        for k in sorted(
+            k for k in itertools.product(range(-r, r + 1), repeat=d)
+            if max(map(abs, k)) == r
+        ):
+            yield k
+        r += 1
+
+
+def _cylinders():
+    r = 0
+    while True:
+        for pattern in itertools.product((0, 1), repeat=2 * r + 1):
+            yield r, pattern
+        r += 1
+
+
+def _anti_diagonals():
+    s = 1
+    while True:
+        for i in range(s + 1):
+            yield i, s - i
+        s += 1
+
+
+def family_value(sys_obj, i, p):
+    """The i-th family observable at p, from the documented formulas."""
+    kind, v = sys_obj.space_kind, p.payload
+    if kind == "circle":
+        j, wave = (i + 1) // 2, (math.cos if i % 2 else math.sin)
+        return wave(2 * math.pi * j * float(v))
+    if kind == "torus":
+        k = next(itertools.islice(_shells(len(v)), (i - 1) // 2, None))
+        wave = math.cos if i % 2 else math.sin
+        return wave(2 * math.pi * sum(kc * float(c) for kc, c in zip(k, v)))
+    if kind == "shift":
+        r, pattern = next(itertools.islice(_cylinders(), i - 1, None))
+        window = tuple(v.symbol(k) for k in range(-r, r + 1))
+        return 1.0 if window == pattern else 0.0
+    if kind == "interval":
+        return v**i
+    if kind == "union":
+        tag, x = v
+        if i == 1:
+            return 1.0 if tag == "a" else 0.0
+        j, slot = divmod(i - 2, 4)
+        if tag != "ab"[slot // 2]:
+            return 0.0
+        return (math.cos, math.sin)[slot % 2](2 * math.pi * (j + 1) * float(x))
+    if kind == "product":
+        a, b = next(itertools.islice(_anti_diagonals(), i - 1, None))
+        left, right = sys_obj.factors
+        fa = family_value(left, a, v[0]) if a else 1.0
+        fb = family_value(right, b, v[1]) if b else 1.0
+        return fa * fb
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize(
+    "sys_obj",
+    [
+        fl.rotation("golden"),
+        fl.zd_rotation(["golden", "1/7"]),
+        fl.heisenberg_rotation(),
+        fl.full_shift(),
+        fl.interval_square(),
+        fl.two_rotations(),
+        fl.product_system(fl.rotation("golden")),
+        fl.product_system(fl.two_rotations()),
+    ],
+    ids=lambda s: s.system_id,
+)
+def test_integrate_matches_written_out_family_formulas_bitwise(sys_obj):
+    rng = random.Random(41)
+    fam = observable_family(sys_obj)
+    F = {
+        "Z": fl.z_intervals("right").subset(30),
+        "Z^2": fl.zd_boxes(2).subset(2),
+        "heisenberg": fl.heisenberg_boxes().subset(1),
+    }[sys_obj.group_id]
+    for _ in range(2):
+        mu = fl.empirical_measure(sys_obj, random_point(rng, sys_obj), F)
+        for i in range(1, 41):
+            f = fam.observable(i)
+            values = [family_value(sys_obj, i, a) for a in mu.atoms]
+            assert fl.integrate(mu, f) == math.fsum(values) / mu.count, f.name

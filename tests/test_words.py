@@ -66,6 +66,20 @@ def test_random_word_bias():
     assert 0.85 < freq < 0.95
 
 
+@pytest.mark.parametrize(
+    "p_one",
+    [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+     1 - Fraction(1, 2**53), Fraction(1, 2**53)],
+    ids=str,
+)
+def test_random_word_matches_the_float_draw_against_p_one(p_one):
+    for seed in (0, 11):
+        w = RandomWord(seed, p_one)
+        for k in range(-300, 301):
+            draw = random.Random(f"{seed}:{k}").random() < p_one
+            assert w.symbol(k) == (1 if draw else 0)
+
+
 def test_flipped_word_flips_exactly_the_named_positions():
     base = PeriodicWord((0,))
     w = FlippedWord(base, {0, 3})
