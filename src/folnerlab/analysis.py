@@ -30,8 +30,13 @@ from .measures import (
     empirical_measure,
     observable_family,
 )
-from .systems import GSystem, SystemPoint, metric, orbit_sample, pair_point, space_of
-from .transport import assignment_min, orbit_cost_matrix, wasserstein_empirical
+from .systems import (
+    GSystem, SystemPoint, _check_subset, _orbit, _orbit_coords, _orbit_reader, metric,
+    pair_point, space_of,
+)
+from .transport import (
+    _w1, _w1_side, assignment_min, orbit_cost_matrix, wasserstein_empirical
+)
 
 __all__ = [
     "PseudometricTrace",
@@ -74,30 +79,24 @@ def _rows(F: FiniteSubset) -> list[tuple[int, ...]]:
     return list(map(tuple, F.coords_array().tolist()))
 
 
-def _orbit_along(
-    sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
-) -> tuple[list[SystemPoint], list[np.ndarray]]:
-    """The orbit of x over the union of the subsets, and each subset's positions in it.
+def _union_rows(
+    sys: GSystem, subsets: Sequence[FiniteSubset]
+) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """The rows of the subsets' union, each once, and each subset's positions in it.
 
-    Each g is acted on only once.  The orbit is built over the last subset
-    first, with one dict from coordinate row to position, so for a nested
-    sequence every earlier subset is a lookup; a row outside it is acted on
-    when first met.
+    The union lists the last subset's rows first, with one dict from
+    coordinate row to position, so for a nested sequence every earlier subset
+    is a lookup; a row outside it is appended when first met.
     """
     index: dict[tuple[int, ...], int] = {}
-    atoms: list[SystemPoint] = []
     positions = []
     for F in reversed(subsets):
+        _check_subset(sys, F)
         rows = _rows(F)
         missing = [g for g in rows if g not in index]
-        if missing:
-            part = F
-            if len(missing) < F.size:
-                part = FiniteSubset.from_coords(F.group_id, missing, sort=False)
-            index.update(zip(missing, range(len(atoms), len(atoms) + len(missing))))
-            atoms.extend(orbit_sample(sys, x, part))
+        index.update(zip(missing, range(len(index), len(index) + len(missing))))
         positions.append(np.fromiter(map(index.__getitem__, rows), np.intp, len(rows)))
-    return atoms, positions[::-1]
+    return list(index), positions[::-1]
 
 
 def _measures_on(
@@ -107,7 +106,8 @@ def _measures_on(
     atoms: Sequence[SystemPoint],
     positions: Sequence[np.ndarray],
 ) -> list[EmpiricalMeasure]:
-    """The empirical measures of x over each subset, given _orbit_along's orbit."""
+    """The empirical measures of x over each subset, given the orbit over the
+    subsets' union rows and each subset's positions in it (_union_rows)."""
     return [
         _measure_on(sys, x, F, [atoms[p] for p in pos.tolist()])
         for F, pos in zip(subsets, positions)
@@ -118,7 +118,8 @@ def _measures_along(
     sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
 ) -> list[EmpiricalMeasure]:
     """The empirical measures of x over each subset, acting by each g only once."""
-    return _measures_on(sys, x, subsets, *_orbit_along(sys, x, subsets))
+    rows, positions = _union_rows(sys, subsets)
+    return _measures_on(sys, x, subsets, _orbit(sys, x, rows), positions)
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,35 @@ def mean_distance_trace(
     indices: Sequence[int],
     tol: float = 1e-9,
 ) -> PseudometricTrace:
-    """values[k] = (1/|F_{n_k}|) * sum over g of d(g*x, g*y)."""
+    """values[k] = (1/|F_{n_k}|) * sum over g of d(g*x, g*y), each d at tol/|F_{n_k}|.
+
+    The distances are the space's kernel on the two orbits' coords, read
+    straight from the orbits; the kernel equals the scalar metric bit for
+    bit and fsum is exactly rounded, so each value is the fsum of the scalar
+    metric over the atoms.
+    """
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
-    xs = [mu.atoms for mu in _measures_along(sys, x, subsets)]
-    ys = [nu.atoms for nu in _measures_along(sys, y, subsets)]
-    values = _mean_distances(sys, subsets, xs, ys, tol)
-    return PseudometricTrace("mean_distance", indices, values)
+    space = space_of(sys)
+
+    def means(rows, positions, per_entry):
+        d = space.kernel(
+            sys,
+            _orbit_coords(sys, x, rows, per_entry),
+            _orbit_coords(sys, y, rows, per_entry),
+        )
+        return [math.fsum(d[pos].tolist()) / len(pos) for pos in positions]
+
+    if not space.reads_tol(sys):
+        # the kernel's value does not depend on the tol: one pass over the union
+        values = means(*_union_rows(sys, subsets), tol)
+    else:
+        # a shift's symbol depth: each index reads its coords at tol/|F|
+        values = []
+        for F in subsets:
+            rows, positions = _union_rows(sys, [F])
+            values += means(rows, positions, tol / F.size)
+    return PseudometricTrace("mean_distance", indices, tuple(values))
 
 
 def orbit_permutation_distance(
@@ -435,14 +458,15 @@ def modulus_estimate(
 
 
 def _integrated(
-    measures: Sequence[EmpiricalMeasure], family: ObservableFamily, N: int
+    readers: Sequence, F: FiniteSubset, family: ObservableFamily, N: int
 ) -> tuple[list[Observable], list[list[float]]]:
-    """rho's N terms, and each measure's integrals of them, once per measure.
+    """rho's N terms, and their integrals over each reader's orbit over F.
 
-    A lone measure has no pair to compare, so N is not checked for it.
+    A lone orbit has no pair to compare, so N is not checked for it.
     """
-    terms = _rho_terms(family, N) if len(measures) > 1 else []
-    return terms, [_integrals(mu.atoms, _everywhere(mu), terms)[0] for mu in measures]
+    terms = _rho_terms(family, N) if len(readers) > 1 else []
+    everywhere = _everywhere(F.size)
+    return terms, [_integrals(read, everywhere, terms)[0] for read in readers]
 
 
 @dataclass(frozen=True)
@@ -499,13 +523,19 @@ def unique_ergodicity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
-    terms, integrals = _integrated(measures, family, N)
+    orbit = _rows(F)
+    readers = [
+        _orbit_reader(sys, p, orbit, mu.atoms) for p, mu in zip(points, measures)
+    ]
+    terms, integrals = _integrated(readers, F, family, N)
+    # each measure's sort key and coords once, for all its pairs
+    sides = [_w1_side(mu, tol) for mu in measures] if len(points) > 1 else []
     rows = []
     max_w = 0.0
     max_rho = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            w = wasserstein_empirical(measures[i], measures[j], tol)
+            w = _w1(sides[i], sides[j])
             rho = _rho_sum(terms, integrals[i], integrals[j])
             max_w = max(max_w, w)
             max_rho = max(max_rho, rho)
@@ -553,10 +583,11 @@ def generic_measure_trace(
     if family is None:
         family = observable_family(sys)
     subsets = [seq.subset(n) for n in indices]
-    atoms, positions = _orbit_along(sys, x, subsets)
+    rows, positions = _union_rows(sys, subsets)
+    atoms = _orbit(sys, x, rows)
     measures = tuple(_measures_on(sys, x, subsets, atoms, positions))
     terms = _rho_terms(family, N)
-    table = _integrals(atoms, positions, terms)
+    table = _integrals(_orbit_reader(sys, x, rows, atoms), positions, terms)
     gaps = tuple(_rho_sum(terms, a, b) for a, b in zip(table, table[1:]))
     return GenericMeasureTrace(indices, measures, gaps)
 
@@ -596,8 +627,11 @@ def measure_map_continuity_diagnostic(
     if family is None:
         family = observable_family(sys)
     F = seq.subset(n)
-    measures = [empirical_measure(sys, p, F) for p in grid]
-    terms, integrals = _integrated(measures, family, N)
+    if grid:  # the group check empirical_measure makes
+        _check_subset(sys, F)
+    orbit = _rows(F)
+    readers = [_orbit_reader(sys, p, orbit) for p in grid]
+    terms, integrals = _integrated(readers, F, family, N)
     rows = []
     for i in range(len(grid) - 1):
         d = metric(sys, grid[i], grid[i + 1], tol)
@@ -637,11 +671,12 @@ def uniform_convergence_diagnostic(
             raise ValueError("index pairs must satisfy 1 <= n < m")
     ks = sorted({k for pair in index_pairs for k in pair})
     subsets = [seq.subset(k) for k in ks]
+    rows, positions = _union_rows(sys, subsets)
     # grid points outside: one orbit is alive at a time
     averages: dict[int, list[float]] = {k: [] for k in ks}
     for p in grid:
-        atoms, positions = _orbit_along(sys, p, subsets)
-        for k, (value,) in zip(ks, _integrals(atoms, positions, [f])):
+        read = _orbit_reader(sys, p, rows)
+        for k, (value,) in zip(ks, _integrals(read, positions, [f])):
             averages[k].append(value)
     rows = tuple(
         (n, m, max(abs(a - b) for a, b in zip(averages[n], averages[m])))

@@ -825,6 +825,7 @@ def _suite_weak_star() -> list[_Check]:
         (systems.two_rotations(), left, [3, 8, 20]),
         (systems.heisenberg_rotation(), groups.heisenberg_boxes(), [1, 2]),
         (systems.product_system(rotation), right, [3, 8, 20]),
+        (systems.product_system(systems.full_shift()), left, [3, 8, 20]),
     ]
 
     def near_pair(sys_obj: systems.GSystem) -> tuple:
@@ -833,22 +834,32 @@ def _suite_weak_star() -> list[_Check]:
         (x1, y1), (x2, y2) = map(near_pair, sys_obj.factors)
         return systems.pair_point(sys_obj, x1, x2), systems.pair_point(sys_obj, y1, y2)
 
-    zero_self = symmetric = shared = True
+    zero_self = symmetric = shared = from_orbit = kernel_means = True
     for sys_obj, seq, indices in cases:
         x, y = near_pair(sys_obj)
         subsets = [seq.subset(n) for n in indices]
         family = measures.observable_family(sys_obj)
         terms = [family.observable(i) for i in range(1, 41)]
-        table = measures._integrals(*analysis._orbit_along(sys_obj, x, subsets), terms)
+        rows, positions = analysis._union_rows(sys_obj, subsets)
+        orbit = systems._orbit_reader(sys_obj, x, rows)
+        table = measures._integrals(orbit, positions, terms)
+        points = systems._reader(systems._orbit(sys_obj, x, rows))
+        from_orbit &= table == measures._integrals(points, positions, terms)
         for F, row in zip(subsets, table):
             mu = measures.empirical_measure(sys_obj, x, F)
             shared &= row == [measures.integrate(mu, f) for f in terms]
+        # the kernel on orbit coords against the scalar metric at tol/|F|
+        trace = analysis.mean_distance_trace(sys_obj, x, y, seq, indices)
+        for F, value in zip(subsets, trace.values):
+            pairs = zip(*(systems.orbit_sample(sys_obj, p, F) for p in (x, y)))
+            scalar = [systems.metric(sys_obj, a, b, 1e-9 / F.size) for a, b in pairs]
+            kernel_means &= value == math.fsum(scalar) / F.size
         mu, nu = (measures.empirical_measure(sys_obj, p, subsets[-1]) for p in (x, y))
         zero_self &= measures.rho_distance(mu, mu).value == 0.0
         symmetric &= (
             measures.rho_distance(mu, nu).value == measures.rho_distance(nu, mu).value
         )
-    kinds = "every space kind and a product"
+    kinds = "every space kind and two products"
     checks = [
         _Check("rho(mu, mu) is zero", zero_self, kinds),
         _Check("rho is symmetric bit for bit", symmetric, kinds),
@@ -856,6 +867,16 @@ def _suite_weak_star() -> list[_Check]:
             "integrals over a shared orbit equal per-measure integrate bit for bit",
             shared,
             f"{kinds}, 40 observables",
+        ),
+        _Check(
+            "integrals read from an orbit equal integrals read from its points",
+            from_orbit,
+            f"{kinds}, 40 observables, bit for bit",
+        ),
+        _Check(
+            "mean distance trace equals the fsum of the scalar metric",
+            kernel_means,
+            f"{kinds}, each index at tol/|F|, bit for bit",
         ),
     ]
 

@@ -12,6 +12,12 @@ takes the integral over each subset of the orbit from those values.  The
 sum is ``math.fsum``, exactly rounded, so the order of the points does not
 change it, and an integral over a shared orbit equals ``integrate`` on the
 subset's own measure bit for bit.
+
+The orbit comes as a reader (``systems._reader`` over a measure's atoms, or
+``systems._orbit_reader`` over a point and coordinate rows).  An orbit reader
+reads each view array straight from the orbit through the space's
+``orbit_coords``, bit for bit the array read from the points, and builds the
+points only when a plain callable needs them.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import numpy as np
 from .errors import SystemMismatchError
 from .groups import FiniteSubset
 from .systems import (
-    GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _reader,
-    atom_header, atom_row, orbit_sample, point_to_dict, space_of,
+    GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _Reader,
+    _reader, atom_header, atom_row, orbit_sample, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -90,23 +96,24 @@ def observable_family(sys: GSystem) -> ObservableFamily:
 
 
 def _integrals(
-    atoms: Sequence[SystemPoint],
+    read: _Reader,
     positions: Sequence[np.ndarray],
     observables: Sequence[Observable | Callable[[SystemPoint], float]],
 ) -> list[list[float]]:
-    """table[k][i] = (1/|F_k|) * fsum of observables[i] over atoms[positions[k]].
+    """table[k][i] = (1/|F_k|) * fsum of observables[i] over the orbit at positions[k].
 
-    Each observable is evaluated once per atom: a family observable as one
-    batch over all the atoms, any other per atom.  ``positions[k]`` holds the
-    indices into ``atoms`` of the k-th subset's points.
+    Each observable is evaluated once per orbit point: a family observable as
+    one batch over the reader's view arrays, any other per point of
+    ``read.points``.  ``positions[k]`` holds the indices into the orbit of
+    the k-th subset's points.
     """
-    read = _reader(atoms)
     columns = []
     for f in observables:
         if isinstance(f, _BatchObservable):
             columns.append(f.batch(read))
         else:
             fn = f.fn if isinstance(f, Observable) else f
+            atoms = read.points
             # object dtype keeps each returned value as fsum would see it
             columns.append(np.fromiter(map(fn, atoms), object, len(atoms)))
     return [
@@ -115,9 +122,9 @@ def _integrals(
     ]
 
 
-def _everywhere(mu: EmpiricalMeasure) -> list[np.ndarray]:
-    """The positions of a measure's own atoms, as the one subset of _integrals."""
-    return [np.arange(mu.count)]
+def _everywhere(count: int) -> list[np.ndarray]:
+    """Every position of a count-point orbit, as the one subset of _integrals."""
+    return [np.arange(count)]
 
 
 def integrate(
@@ -130,7 +137,7 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _integrals(mu.atoms, _everywhere(mu), [f])[0][0]
+    return _integrals(_reader(mu.atoms), _everywhere(mu.count), [f])[0][0]
 
 
 def birkhoff_average(
@@ -170,7 +177,9 @@ def rho_distance(
             f"measures live on different spaces: {mu.system.system_id!r} "
             f"vs {nu.system.system_id!r}"
         )
-    a, b = (_integrals(m.atoms, _everywhere(m), terms)[0] for m in (mu, nu))
+    a, b = (
+        _integrals(_reader(m.atoms), _everywhere(m.count), terms)[0] for m in (mu, nu)
+    )
     return MeasureDistanceResult(_rho_sum(terms, a, b), math.ldexp(1.0, 1 - N), N)
 
 

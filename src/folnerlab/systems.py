@@ -5,11 +5,17 @@ table is the one place a new kind plugs in.  A Space writes its action once,
 as ``orbit(sys, x, rows)``: the points g*x for the coordinate rows g in
 ``rows``, in order.  Rows are sequences of Python ints (``tolist()`` of a
 subset's coordinate array), so exact Fraction arithmetic never meets numpy
-integers.  ``observables(sys)`` yields the kind's fixed dense observable
-family, on which the weak-* metric of ``measures`` is built.  The Space also
-holds the scalar metric, the vectorized distance kernel, point
-(de)serialization, CSV columns and the near-pair draw.  The public functions
-look the space up from ``sys.space_kind``.
+integers.  ``orbit_coords(sys, x, rows, tol)`` is the same action in batch
+form: the coordinate array of the orbit, bit for bit ``coords`` of the
+points, with no point built.  Circle, torus and union orbits are integer
+numerators over one denominator D, from one private helper that feeds both
+methods; their floats are n / D by Python-int true division, which is
+correctly rounded and so equals float(Fraction(n, D)).  A shift orbit is its
+base word read at shifted offsets.  ``observables(sys)`` yields the kind's
+fixed dense observable family, on which the weak-* metric of ``measures`` is
+built.  The Space also holds the scalar metric, the vectorized distance
+kernel, point (de)serialization, CSV columns and the near-pair draw.  The
+public functions look the space up from ``sys.space_kind``.
 
 Payloads, and the observable families (1-based index i), per space kind:
   circle    exact Fraction in [0, 1), arc metric min(|u-v|, 1-|u-v|);
@@ -46,6 +52,13 @@ every value is bit for bit the float formula applied to one point.  ``fn(p)``
 is the same formula over a one-point orbit.  Plain callables, and
 observables built directly from ``fn``, run on every atom.
 
+A view reads its array from points, ``view(points)``, or straight from an
+orbit, ``view.of_orbit(x, rows)``, through ``orbit_coords``; the two are
+equal bit for bit.  Shift symbols come from one strip: points that are
+shifts of one base word (an orbit always is) read base.symbol(lo..hi) once
+and gather each row at its offset, when that strip is no longer than the
+table; any other point list reads each symbol.
+
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
 1e9, flagged on the built system.  At this scale every periodicity statement
@@ -72,7 +85,7 @@ from .groups import FiniteSubset, GroupElement
 from .rationals import GOLDEN_ALPHA, SURROGATE_DENOMINATOR, parse_rational
 from .words import (
     FlippedWord, PeriodicWord, RandomWord, SplicedWord, Word,
-    shift_word, word_from_dict, word_to_dict,
+    _unshifted, shift_word, word_from_dict, word_to_dict,
 )
 
 __all__ = [
@@ -252,18 +265,52 @@ class _BatchObservable(Observable):
     batch: Callable[[Callable[[object], object]], np.ndarray]
 
 
-def _reader(points: Sequence[SystemPoint]) -> Callable[[object], object]:
-    """read(view) = view(points), computed on first use and then kept."""
-    arrays: dict = {}
+class _Reader:
+    """read(view): one view's array over an orbit, computed on first use and then kept.
 
-    def read(view):
+    ``fetch(view)`` computes the array; ``points`` is the orbit's point list,
+    built by ``make_points`` only when a plain callable asks for it.
+    """
+
+    def __init__(self, fetch: Callable, make_points: Callable[[], Sequence]):
+        self._fetch = fetch
+        self._make_points = make_points
+        self._points: Sequence[SystemPoint] | None = None
+        self._arrays: dict = {}
+
+    def __call__(self, view):
         try:
-            return arrays[view]
+            return self._arrays[view]
         except KeyError:
-            value = arrays[view] = view(points)
+            value = self._arrays[view] = self._fetch(view)
             return value
 
-    return read
+    @property
+    def points(self) -> Sequence[SystemPoint]:
+        if self._points is None:
+            self._points = self._make_points()
+        return self._points
+
+
+def _reader(points: Sequence[SystemPoint]) -> _Reader:
+    """read(view) = view(points)."""
+    return _Reader(lambda view: view(points), lambda: points)
+
+
+def _orbit_reader(
+    sys: "GSystem", x: SystemPoint, rows: Sequence, points: Sequence | None = None
+) -> _Reader:
+    """read(view) = view.of_orbit(x, rows), the view over the orbit g*x for g in rows.
+
+    The orbit's points, when given, must be that orbit; otherwise they are
+    acted out only if a plain callable asks for them.
+    """
+    _check_point(sys, x)
+
+    def make_points():
+        return _orbit(sys, x, rows) if points is None else points
+
+    return _Reader(lambda view: view.of_orbit(x, rows), make_points)
 
 
 def _batched(name: str, batch, sup_norm: float = 1.0) -> Observable:
@@ -278,16 +325,70 @@ def _elementwise(fn: Callable, arr: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, arr.tolist(), *args), np.float64, len(arr))
 
 
-def _coords_view(space: "Space", sys: "GSystem") -> Callable:
-    # one view object per family, so its observables share the array; these
-    # kinds' coords ignore the tol, which picks only a shift's symbol depth
-    return lambda points: space.coords(sys, points, 1.0)
+class _Coords:
+    """The view ``coords``: the space's coordinate array over the points or an orbit.
+
+    One view object per family, so its observables share the array; these
+    kinds' coords ignore the tol, which picks only a shift's symbol depth.
+    """
+
+    def __init__(self, space: "Space", sys: "GSystem"):
+        self.space = space
+        self.sys = sys
+
+    def __call__(self, points: Sequence[SystemPoint]) -> object:
+        return self.space.coords(self.sys, points, 1.0)
+
+    def of_orbit(self, x: SystemPoint, rows: Sequence) -> object:
+        return self.space.orbit_coords(self.sys, x, rows, 1.0)
 
 
 _WAVES = (("cos", math.cos), ("sin", math.sin))
 
 # the constant 1, a product's factor at index 0; its batch broadcasts
 _ONE = _BatchObservable("one", 1.0, lambda p: 1.0, lambda read: 1.0)
+
+
+def _strip_symbols(
+    base: Word, offsets: Sequence[int], positions: Sequence[int]
+) -> np.ndarray:
+    """int8 table [[base.symbol(o + k) for k in positions] for o in offsets].
+
+    When the strip base.symbol(lo..hi) covering every entry is no longer than
+    the table, the table is gathered from that one strip; otherwise each
+    entry reads its symbol.
+    """
+    n, K = len(offsets), len(positions)
+    if n and K:
+        o_min, k_min = min(offsets), min(positions)
+        lo = o_min + k_min
+        span = max(offsets) + max(positions) - lo + 1
+        if span <= n * K:
+            strip = np.fromiter(map(base.symbol, range(lo, lo + span)), np.int8, span)
+            rel_o = np.array([o - o_min for o in offsets], dtype=np.intp)
+            rel_k = np.array([k - k_min for k in positions], dtype=np.intp)
+            return strip[rel_o[:, None] + rel_k[None, :]]
+    rows = [[base.symbol(o + k) for k in positions] for o in offsets]
+    return np.array(rows, dtype=np.int8).reshape(-1, K)
+
+
+def _symbols(words: Sequence[Word], positions: Sequence[int]) -> np.ndarray:
+    """int8 table [[w.symbol(k) for k in positions] for w in words].
+
+    Words that are shifts of one base word read one strip of its symbols
+    (``_strip_symbols``); any other list reads each symbol.
+    """
+    pairs = [_unshifted(w) for w in words]
+    if pairs and all(b is pairs[0][0] for b, _ in pairs):
+        return _strip_symbols(pairs[0][0], [o for _, o in pairs], positions)
+    rows = [[w.symbol(k) for k in positions] for w in words]
+    return np.array(rows, dtype=np.int8).reshape(-1, len(positions))
+
+
+def _shift_offsets(x: SystemPoint, rows: Sequence) -> tuple[Word, list[int]]:
+    """The shift action: g*x is the base word of x shifted by offset + g."""
+    base, offset = _unshifted(x.payload)
+    return base, [offset + n for (n,) in rows]
 
 
 @dataclass(frozen=True)
@@ -298,8 +399,11 @@ class _Window:
 
     def __call__(self, points: Sequence[SystemPoint]) -> np.ndarray:
         span = range(-self.radius, self.radius + 1)
-        rows = [[p.payload.symbol(k) for k in span] for p in points]
-        return np.array(rows, dtype=np.int8).reshape(-1, len(span))
+        return _symbols([p.payload for p in points], span)
+
+    def of_orbit(self, x: SystemPoint, rows: Sequence) -> np.ndarray:
+        span = range(-self.radius, self.radius + 1)
+        return _strip_symbols(*_shift_offsets(x, rows), span)
 
 
 @dataclass(frozen=True)
@@ -311,6 +415,10 @@ class _Side:
 
     def __call__(self, points: Sequence[SystemPoint]) -> object:
         return self.view([p.payload[self.side] for p in points])
+
+    def of_orbit(self, x: SystemPoint, rows: Sequence) -> object:
+        # the action is diagonal: each side's orbit is its factor point's orbit
+        return self.view.of_orbit(x.payload[self.side], rows)
 
 
 def _lattice_characters(d: int) -> Iterator[tuple[int, ...]]:
@@ -396,11 +504,18 @@ class Space:
     is the reference the kernel is checked against.  ``near_pair`` draws a
     pair at distance below delta.  ``orbit`` is the action, over coordinate
     rows, and ``observables`` yields the family (module docstring).
-    ``reads_tol`` says whether the scalar metric's value depends on the tol
-    it is given.
+    ``orbit_coords(sys, x, rows, tol)`` is the batch form of the action: it
+    returns ``coords(sys, orbit(sys, x, rows), tol)`` bit for bit, and that
+    composition is its default and its reference.  A kind that overrides it
+    reads the orbit from the same private helper as its ``orbit``, so the
+    action is still written once.  ``reads_tol`` says whether the scalar
+    metric's value depends on the tol it is given.
     """
 
     kind = ""
+
+    def orbit_coords(self, sys: GSystem, x: SystemPoint, rows: Sequence, tol: float):
+        return self.coords(sys, self.orbit(sys, x, rows), tol)
 
     def reads_tol(self, sys: GSystem) -> bool:
         return False
@@ -414,15 +529,19 @@ class Space:
 class _Circle(Space):
     kind = "circle"
 
-    def orbit(self, sys, x, rows):
+    def _numerators(self, sys, x, rows):
         # x + sum g_i alpha_i mod 1 in integer numerators over one denominator
         D, (a, *steps) = _common_denominator(x.payload, *sys.param("alphas"))
-        return [
-            SystemPoint(
-                sys.system_id, Fraction((a + sum(map(operator.mul, g, steps))) % D, D)
-            )
-            for g in rows
-        ]
+        return D, [(a + sum(map(operator.mul, g, steps))) % D for g in rows]
+
+    def orbit(self, sys, x, rows):
+        D, numerators = self._numerators(sys, x, rows)
+        return [SystemPoint(sys.system_id, Fraction(n, D)) for n in numerators]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        # int / int is correctly rounded, so n / D == float(Fraction(n, D))
+        D, numerators = self._numerators(sys, x, rows)
+        return np.array([n / D for n in numerators], dtype=np.float64)
 
     def metric(self, sys, x, y, tol):
         return _arc(float(x.payload), float(y.payload))
@@ -451,7 +570,7 @@ class _Circle(Space):
         return circle_point(sys, x), circle_point(sys, x + _offset(rng, step))
 
     def observables(self, sys):
-        view = _coords_view(self, sys)
+        view = _Coords(self, sys)
         j = 1
         while True:
             w = _TWO_PI * j
@@ -466,20 +585,26 @@ class _Circle(Space):
 class _Torus(Space):
     kind = "torus"
 
-    def orbit(self, sys, x, rows):
+    def _numerators(self, sys, x, rows):
         # coordinate i moves by g_i * alpha_i; later group coordinates act trivially
         d = len(x.payload)
         D, numerators = _common_denominator(*x.payload, *sys.param("alphas"))
         pairs = tuple(zip(numerators[:d], numerators[d:]))
-        return [
-            SystemPoint(
-                sys.system_id,
-                tuple(
-                    Fraction((c + gi * b) % D, D) for (c, b), gi in zip(pairs, g)
-                ),
-            )
-            for g in rows
+        return D, [
+            tuple((c + gi * b) % D for (c, b), gi in zip(pairs, g)) for g in rows
         ]
+
+    def orbit(self, sys, x, rows):
+        D, numerators = self._numerators(sys, x, rows)
+        return [
+            SystemPoint(sys.system_id, tuple(Fraction(c, D) for c in row))
+            for row in numerators
+        ]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        D, numerators = self._numerators(sys, x, rows)
+        floats = [[c / D for c in row] for row in numerators]
+        return np.array(floats, dtype=np.float64).reshape(-1, len(sys.param("alphas")))
 
     def metric(self, sys, x, y, tol):
         s = 0.0
@@ -517,7 +642,7 @@ class _Torus(Space):
         return torus_point(sys, xs), torus_point(sys, ys)
 
     def observables(self, sys):
-        view = _coords_view(self, sys)
+        view = _Coords(self, sys)
         for k in _lattice_characters(len(sys.param("alphas"))):
             label = ",".join(map(str, k))
 
@@ -539,7 +664,12 @@ class _Shift(Space):
     kind = "shift"
 
     def orbit(self, sys, x, rows):
-        return [SystemPoint(sys.system_id, shift_word(x.payload, n)) for (n,) in rows]
+        base, offsets = _shift_offsets(x, rows)
+        return [SystemPoint(sys.system_id, shift_word(base, o)) for o in offsets]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        positions = _z_enumeration(_truncation_depth(tol))
+        return _strip_symbols(*_shift_offsets(x, rows), positions)
 
     def reads_tol(self, sys):
         return True  # the tol picks the symbol-comparison depth
@@ -555,8 +685,7 @@ class _Shift(Space):
     def coords(self, sys, points, tol):
         # one int8 symbol column per enumerated position
         positions = _z_enumeration(_truncation_depth(tol))
-        rows = [[p.payload.symbol(pos) for pos in positions] for p in points]
-        return np.array(rows, dtype=np.int8).reshape(-1, len(positions))
+        return _symbols([p.payload for p in points], positions)
 
     def kernel(self, sys, U, V):
         D = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]))
@@ -609,7 +738,7 @@ class _Shift(Space):
 class _Interval(Space):
     kind = "interval"
 
-    def orbit(self, sys, x, rows):
+    def _values(self, sys, x, rows):
         # g*x is one power step from the nearest exponent between 0 and g;
         # powers of one sign compose exactly, so each point is bit-identical
         # to iterating |g| times from x
@@ -622,7 +751,13 @@ class _Interval(Space):
             for n in side:
                 at[n] = _interval_power(at[prev], n - prev)
                 prev = n
-        return [SystemPoint(sys.system_id, at[n]) for (n,) in rows]
+        return [at[n] for (n,) in rows]
+
+    def orbit(self, sys, x, rows):
+        return [SystemPoint(sys.system_id, v) for v in self._values(sys, x, rows)]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        return np.array(self._values(sys, x, rows), dtype=np.float64)
 
     def metric(self, sys, x, y, tol):
         return abs(x.payload - y.payload)
@@ -652,7 +787,7 @@ class _Interval(Space):
         return interval_point(sys, x), interval_point(sys, y)
 
     def observables(self, sys):
-        view = _coords_view(self, sys)
+        view = _Coords(self, sys)
         j = 1
         while True:
             yield _batched(
@@ -667,12 +802,21 @@ class _Interval(Space):
 class _Union(Space):
     kind = "union"
 
-    def orbit(self, sys, x, rows):
+    def _numerators(self, sys, x, rows):
+        # the component's rotation, in integer numerators over one denominator
         tag, value = x.payload
         alpha = sys.param("alpha_a") if tag == "a" else sys.param("alpha_b")
-        return [
-            SystemPoint(sys.system_id, (tag, (value + n * alpha) % 1)) for (n,) in rows
-        ]
+        D, (v, a) = _common_denominator(value, alpha)
+        return tag, D, [(v + n * a) % D for (n,) in rows]
+
+    def orbit(self, sys, x, rows):
+        tag, D, numerators = self._numerators(sys, x, rows)
+        return [SystemPoint(sys.system_id, (tag, Fraction(m, D))) for m in numerators]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        tag, D, numerators = self._numerators(sys, x, rows)
+        tags = np.array([0 if tag == "a" else 1] * len(numerators))
+        return tags, np.array([m / D for m in numerators], dtype=np.float64)
 
     def metric(self, sys, x, y, tol):
         (tag_x, u), (tag_y, v) = x.payload, y.payload
@@ -709,7 +853,7 @@ class _Union(Space):
         return union_point(sys, tag, x), union_point(sys, tag, x + _offset(rng, step))
 
     def observables(self, sys):
-        view = _coords_view(self, sys)  # (tags, floats), tag 0 for component a
+        view = _Coords(self, sys)  # (tags, floats), tag 0 for component a
         yield _batched(
             "component_a", lambda read: np.where(read(view)[0] == 0, 1.0, 0.0)
         )
@@ -743,6 +887,16 @@ class _Product(Space):
         left = space_of(a).orbit(a, p, rows)
         right = space_of(b).orbit(b, q, rows)
         return [SystemPoint(sys.system_id, pair) for pair in zip(left, right)]
+
+    def orbit_coords(self, sys, x, rows, tol):
+        (a, b), (p, q) = sys.factors, x.payload
+        if rows:
+            _check_point(a, p)
+            _check_point(b, q)
+        half = tol / 2.0
+        return space_of(a).orbit_coords(a, p, rows, half), space_of(b).orbit_coords(
+            b, q, rows, half
+        )
 
     def reads_tol(self, sys):
         return any(space_of(f).reads_tol(f) for f in sys.factors)
@@ -833,13 +987,23 @@ def act(sys: GSystem, g: GroupElement, x: SystemPoint) -> SystemPoint:
     return space_of(sys).orbit(sys, x, [g.coords])[0]
 
 
-def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
-    """The orbit piece [g*x for g in F], in F's enumeration order."""
-    _check_point(sys, x)
+def _check_subset(sys: GSystem, F: FiniteSubset) -> None:
     if F.group_id != sys.group_id:
         raise GroupMismatchError(
             f"Folner subset over {F.group_id!r} cannot act on {sys.system_id!r}"
         )
+
+
+def _orbit(sys: GSystem, x: SystemPoint, rows: Sequence) -> list[SystemPoint]:
+    """The points g*x for the coordinate rows g, in order."""
+    _check_point(sys, x)
+    return space_of(sys).orbit(sys, x, rows)
+
+
+def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
+    """The orbit piece [g*x for g in F], in F's enumeration order."""
+    _check_point(sys, x)
+    _check_subset(sys, F)
     return space_of(sys).orbit(sys, x, F.coords_array().tolist())
 
 
@@ -864,6 +1028,14 @@ def _coords(sys: GSystem, points: Sequence[SystemPoint], tol: float):
     return space_of(sys).coords(sys, points, tol)
 
 
+def _orbit_coords(sys: GSystem, x: SystemPoint, rows: Sequence, tol: float):
+    """_coords of the orbit g*x for the coordinate rows g, read from x and the rows."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    _check_point(sys, x)
+    return space_of(sys).orbit_coords(sys, x, rows, tol)
+
+
 def _at(coords, key):
     """coords[key], applied through the tuples of union and product coords."""
     if isinstance(coords, tuple):
@@ -882,7 +1054,11 @@ def pairwise_distances(
     Agrees with the scalar metric bit for bit: both paths use the same
     floating-point formulas in the same order.
     """
-    U, V = _coords(sys, xs, tol), _coords(sys, ys, tol)
+    return _kernel_matrix(sys, _coords(sys, xs, tol), _coords(sys, ys, tol))
+
+
+def _kernel_matrix(sys: GSystem, U, V) -> np.ndarray:
+    """D[i, j] = kernel(U[i], V[j]) for two coordinate sets of _coords."""
     return space_of(sys).kernel(sys, _at(U, np.s_[:, None]), _at(V, np.s_[None]))
 
 

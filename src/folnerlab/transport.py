@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .measures import EmpiricalMeasure
-from .systems import pairwise_distances
+from .systems import _coords, _kernel_matrix, pairwise_distances
 
 try:
     import numba
@@ -238,6 +238,26 @@ def orbit_cost_matrix(
     return CostMatrix(D, provenance=(mu.origin[0], nu.origin[0], mu.origin[1]))
 
 
+def _w1_side(mu: EmpiricalMeasure, tol: float) -> tuple[EmpiricalMeasure, str, object]:
+    """One side of a W1 solve: the measure, its canonical sort key, and its
+    atoms' coordinates at the per-entry tol tol/n; built once per measure."""
+    return mu, _atom_sort_key(mu), _coords(mu.system, mu.atoms, tol / mu.count)
+
+
+def _w1(a: tuple, b: tuple) -> float:
+    """W1 between two equal-size measures given as _w1_side triples.
+
+    The sides are ordered canonically by their sort keys before the cost
+    matrix is built, so the result is exactly symmetric in (a, b).
+    """
+    if b[1] < a[1]:
+        a, b = b, a
+    (mu, _, U), (nu, _, V) = a, b
+    D = _kernel_matrix(mu.system, U, V)
+    C = CostMatrix(D, provenance=(mu.origin[0], nu.origin[0], mu.origin[1]))
+    return assignment_min(C).cost
+
+
 def wasserstein_empirical(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float = 1e-9
 ) -> float:
@@ -256,10 +276,7 @@ def wasserstein_empirical(
             f"only equal-size uniform measures are supported "
             f"({mu.count} vs {nu.count} atoms)"
         )
-    if _atom_sort_key(nu) < _atom_sort_key(mu):
-        mu, nu = nu, mu
-    C = orbit_cost_matrix(mu, nu, tol / mu.count)
-    return assignment_min(C).cost
+    return _w1(_w1_side(mu, tol), _w1_side(nu, tol))
 
 
 def cost_matrix_to_csv(C: CostMatrix, path: str) -> None:

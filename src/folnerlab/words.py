@@ -175,6 +175,13 @@ def shift_word(word: Word, offset: int) -> Word:
     return _ShiftedWord(word, offset)
 
 
+def _unshifted(word: Word) -> tuple[Word, int]:
+    """(base, offset) with word.symbol(k) == base.symbol(k + offset) for every k."""
+    if isinstance(word, _ShiftedWord):
+        return word.base, word.offset
+    return word, 0
+
+
 def word_to_dict(word: Word) -> dict:
     if isinstance(word, PeriodicWord):
         return {"kind": "periodic", "pattern": list(word.pattern)}

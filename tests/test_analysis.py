@@ -806,3 +806,89 @@ def test_uniform_convergence_evaluates_f_once_per_orbit_point():
     grid = [cpoint(Fraction(k, 4)) for k in range(4)]
     fl.uniform_convergence_diagnostic(GOLDEN, f, grid, fl.z_intervals(), [(10, 40)])
     assert len(calls) == 40 * len(grid)
+
+
+# ---------------------------------------------------------------------------
+# family diagnostics read their arrays straight from the orbit
+
+
+def _orbit_read_cases():
+    z2 = fl.zd_rotation(["1/3", "golden"])
+    heis = fl.heisenberg_rotation("2/9", "golden")
+    un = fl.two_rotations()
+    cases = [
+        (GOLDEN, [cpoint(Fraction(k, 5)) for k in range(3)], fl.z_intervals(), [5, 20]),
+        (z2, [fl.circle_point(z2, Fraction(k, 7)) for k in range(3)], fl.zd_boxes(2),
+         [1, 3]),
+        (heis, [fl.torus_point(heis, [Fraction(k, 3), Fraction(1, 5)]) for k in range(3)],
+         fl.heisenberg_boxes(), [1, 2]),
+        (un, [fl.union_point(un, t, Fraction(1, 4)) for t in "aba"],
+         fl.z_intervals("right"), [4, 16]),
+    ]
+    for sys_obj, points, seq, indices in list(cases):
+        P = fl.product_system(sys_obj)
+        pairs = [fl.pair_point(P, p, q) for p, q in zip(points, points[1:] + points[:1])]
+        cases.append((P, pairs, seq, indices))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "sys_obj, points, seq, indices", _orbit_read_cases(),
+    ids=lambda v: getattr(v, "system_id", None) or getattr(v, "kind", None) or "",
+)
+def test_family_diagnostics_build_no_orbit_points(sys_obj, points, seq, indices,
+                                                  monkeypatch):
+    calls = []
+    for space in fl.systems._SPACES.values():
+        def counting(self, s, x, rows, orbit=type(space).orbit):
+            calls.append(s.space_kind)
+            return orbit(self, s, x, rows)
+
+        monkeypatch.setattr(type(space), "orbit", counting)
+    family = fl.observable_family(sys_obj)
+    n, m = indices
+    for i in (1, 2, 7):
+        fl.uniform_convergence_diagnostic(sys_obj, family.observable(i), points, seq,
+                                          [(n, m)])
+    fl.measure_map_continuity_diagnostic(sys_obj, points, seq, m, N=12)
+    fl.mean_distance_trace(sys_obj, points[0], points[1], seq, indices)
+    assert calls == []
+    # the reference path does act: the counter sees the points it builds
+    fl.orbit_sample(sys_obj, points[0], seq.subset(n))
+    assert calls
+
+
+def test_shift_mean_distance_reads_each_index_at_its_own_tol():
+    sh = fl.full_shift()
+    x = fl.shift_point(sh, fl.RandomWord(8))
+    y = fl.shift_point(sh, fl.FlippedWord(fl.RandomWord(8), {3, 40}))
+    seq, indices, tol = fl.z_intervals(), [2, 9, 33], 1e-4
+    trace = fl.mean_distance_trace(sh, x, y, seq, indices, tol)
+    for n, value in zip(indices, trace.values):
+        F = seq.subset(n)
+        pairs = zip(fl.orbit_sample(sh, x, F), fl.orbit_sample(sh, y, F))
+        expected = math.fsum(fl.metric(sh, a, b, tol / n) for a, b in pairs) / n
+        assert repr(value) == repr(expected)
+
+
+def test_unique_ergodicity_converts_each_measure_once(monkeypatch):
+    calls = []
+    coords = fl.systems._coords
+
+    def counting(sys_obj, points, tol):
+        calls.append(len(points))
+        return coords(sys_obj, points, tol)
+
+    # the vectorized distances reach _coords through both modules
+    monkeypatch.setattr(fl.systems, "_coords", counting)
+    monkeypatch.setattr(fl.transport, "_coords", counting)
+    points = [cpoint(Fraction(k, 5)) for k in range(5)]
+    F = fl.z_intervals().subset(64)
+    report = fl.unique_ergodicity_diagnostic(GOLDEN, points, fl.z_intervals(), 64)
+    assert calls == [64] * 5
+    monkeypatch.undo()
+    measures = [fl.empirical_measure(GOLDEN, p, F) for p in points]
+    assert len(report.pair_rows) == 10
+    for i, j, w, _ in report.pair_rows:
+        assert repr(w) == repr(fl.wasserstein_empirical(measures[i], measures[j]))
+        assert repr(w) == repr(fl.wasserstein_empirical(measures[j], measures[i]))

@@ -666,4 +666,4 @@ def test_verify_weak_star_suite_passes(capsys):
     assert main(["verify", "weak-star", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["suite"] == "weak-star"
-    assert [c["passed"] for c in payload["checks"]] == [True] * 4
+    assert [c["passed"] for c in payload["checks"]] == [True] * 6

@@ -8,6 +8,7 @@ import sys as sysmod
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import folnerlab as fl
@@ -595,3 +596,132 @@ def test_package_exports_each_module_name_as_the_same_object():
         for name in module.__all__:
             assert getattr(fl, name) is getattr(module, name), (module.__name__, name)
     assert sorted(fl.__all__) == sorted({n for m in modules for n in m.__all__})
+
+
+# ---------------------------------------------------------------------------
+# orbit_coords, the batch action, against its reference coords(orbit)
+
+
+def _same_coords(a, b):
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_coords, a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# coordinates past int64 reach the action as Python ints
+HUGE_Z = fl.explicit_sequence([fl.FiniteSubset.from_coords(
+    "Z", [[2**70], [-3], [-(2**70)], [5], [0]], sort=False)])
+
+
+def orbit_coords_cases():
+    cases = []
+    z_systems = [
+        fl.rotation("golden"),
+        fl.full_shift(),
+        fl.two_rotations(),
+        fl.interval_square(),
+        fl.product_system(fl.rotation("golden")),
+        fl.product_system(fl.full_shift()),
+    ]
+    for s in z_systems:
+        for seq, n in ((fl.z_intervals(), 9), (fl.z_intervals("right"), 9), (HUGE_Z, 1)):
+            cases.append(pytest.param(s, seq, n, id=f"{s.system_id}-{seq.kind}-{n}"))
+    for s, seq, n in (
+        (fl.zd_rotation(["golden", "1/7"]), fl.zd_boxes(2), 2),
+        (fl.product_system(fl.zd_rotation(["golden", "1/7"])), fl.zd_boxes(2), 1),
+        (fl.heisenberg_rotation(), fl.heisenberg_boxes(), 2),
+        (fl.product_system(fl.heisenberg_rotation()), fl.heisenberg_boxes(), 1),
+    ):
+        cases.append(pytest.param(s, seq, n, id=f"{s.system_id}-{seq.kind}-{n}"))
+    return cases
+
+
+def test_orbit_coords_cases_cover_every_space_kind():
+    kinds = {p.values[0].space_kind for p in orbit_coords_cases()}
+    assert kinds == set(fl.systems._SPACES)
+
+
+@pytest.mark.parametrize("sys_obj, seq, n", orbit_coords_cases())
+def test_orbit_coords_equal_coords_of_the_orbit_bitwise(sys_obj, seq, n):
+    space = fl.systems.space_of(sys_obj)
+    rows = seq.subset(n).coords_array().tolist()
+    rng = random.Random(21)
+    for _ in range(3):
+        x = random_point(rng, sys_obj)
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+            reference = space.coords(sys_obj, space.orbit(sys_obj, x, rows), tol)
+            assert _same_coords(space.orbit_coords(sys_obj, x, rows, tol), reference)
+
+
+STRIP_WORDS = [
+    fl.RandomWord(7),
+    fl.SturmianWord(fl.GOLDEN_ALPHA, Fraction(1, 9)),
+    fl.PeriodicWord((0, 1, 1)),
+    fl.FlippedWord(fl.RandomWord(7), {0, 2, -3}),
+    fl.SplicedWord(fl.PeriodicWord((1,)), fl.RandomWord(2), 4),
+]
+
+
+def _fresh(word):
+    # the same rule with an empty memo, so the reference reads every symbol itself
+    return fl.word_from_dict(fl.word_to_dict(word))
+
+
+@pytest.mark.parametrize("word", STRIP_WORDS, ids=lambda w: w.key()[0])
+def test_shift_strips_equal_per_symbol_reads(word, monkeypatch):
+    from folnerlab.systems import _truncation_depth, _Window, _z_enumeration
+
+    sh = fl.full_shift()
+    space = fl.systems.space_of(sh)
+    strips = []
+    strip = fl.systems._strip_symbols
+
+    def counting(base, offsets, positions):
+        strips.append(len(offsets))
+        return strip(base, offsets, positions)
+
+    monkeypatch.setattr(fl.systems, "_strip_symbols", counting)
+    for start in (0, -4, 7):
+        x = fl.shift_point(sh, fl.shift_word(_fresh(word), start))
+        for seq, n in ((fl.z_intervals(), 12), (fl.z_intervals("right"), 12), (HUGE_Z, 1)):
+            rows = seq.subset(n).coords_array().tolist()
+            points = space.orbit(sh, x, rows)
+            words = [p.payload for p in points]
+            spans = [range(-r, r + 1) for r in range(4)]
+            spans += [
+                _z_enumeration(_truncation_depth(t)) for t in (1e-3, 1e-6, 1e-9, 1e-12)
+            ]
+            for positions in spans:
+                expected = np.array(
+                    [[_fresh(w).symbol(k) for k in positions] for w in words],
+                    dtype=np.int8,
+                ).reshape(-1, len(positions))
+                strips.clear()
+                assert _same_coords(fl.systems._symbols(words, positions), expected)
+                assert strips, "points with one base word go through the strip reader"
+            for r in range(4):
+                expected = fl.systems._symbols(words, range(-r, r + 1))
+                assert _same_coords(_Window(r)(points), expected)
+                assert _same_coords(_Window(r).of_orbit(x, rows), expected)
+            for tol in (1e-3, 1e-12):
+                expected = space.coords(sh, points, tol)
+                assert _same_coords(space.orbit_coords(sh, x, rows, tol), expected)
+
+
+def test_shift_points_without_a_shared_base_read_each_symbol(monkeypatch):
+    strips = []
+    monkeypatch.setattr(fl.systems, "_strip_symbols", lambda *a: strips.append(a))
+    sh = fl.full_shift()
+    words = [
+        fl.RandomWord(3),
+        fl.shift_word(fl.RandomWord(3), 2),  # an equal base, but another object
+        fl.shift_word(fl.PeriodicWord((0, 1)), -5),
+        fl.FlippedWord(fl.RandomWord(3), {1}),
+    ]
+    points = [fl.shift_point(sh, w) for w in words]
+    for positions in (range(-2, 3), fl.systems._z_enumeration(12)):
+        got = fl.systems._symbols([p.payload for p in points], positions)
+        expected = [[_fresh(w).symbol(k) for k in positions] for w in words]
+        assert got.dtype == np.int8 and got.tolist() == expected
+    assert fl.systems.space_of(sh).coords(sh, points, 1e-4).shape == (4, 14)
+    assert strips == []
