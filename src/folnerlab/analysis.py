@@ -31,8 +31,8 @@ from .measures import (
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _check_subset, _orbit, _orbit_coords, _orbit_reader, metric,
-    pair_point, space_of,
+    GSystem, SystemPoint, _check_subset, _orbit, _orbit_coords, _orbit_reader, _reader,
+    metric, pair_point, space_of,
 )
 from .transport import (
     _w1, _w1_side, assignment_min, orbit_cost_matrix, wasserstein_empirical
@@ -523,10 +523,7 @@ def unique_ergodicity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
-    orbit = _rows(F)
-    readers = [
-        _orbit_reader(sys, p, orbit, mu.atoms) for p, mu in zip(points, measures)
-    ]
+    readers = [_reader(mu.atoms) for mu in measures]
     terms, integrals = _integrated(readers, F, family, N)
     # each measure's sort key and coords once, for all its pairs
     sides = [_w1_side(mu, tol) for mu in measures] if len(points) > 1 else []
@@ -584,10 +581,11 @@ def generic_measure_trace(
         family = observable_family(sys)
     subsets = [seq.subset(n) for n in indices]
     rows, positions = _union_rows(sys, subsets)
-    atoms = _orbit(sys, x, rows)
-    measures = tuple(_measures_on(sys, x, subsets, atoms, positions))
+    # the measures are built on the reader's points, so the orbit is acted once
+    read = _orbit_reader(sys, x, rows)
+    measures = tuple(_measures_on(sys, x, subsets, read.points, positions))
     terms = _rho_terms(family, N)
-    table = _integrals(_orbit_reader(sys, x, rows, atoms), positions, terms)
+    table = _integrals(read, positions, terms)
     gaps = tuple(_rho_sum(terms, a, b) for a, b in zip(table, table[1:]))
     return GenericMeasureTrace(indices, measures, gaps)
 

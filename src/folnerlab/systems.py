@@ -54,10 +54,10 @@ observables built directly from ``fn``, run on every atom.
 
 A view reads its array from points, ``view(points)``, or straight from an
 orbit, ``view.of_orbit(x, rows)``, through ``orbit_coords``; the two are
-equal bit for bit.  Shift symbols come from one strip: points that are
-shifts of one base word (an orbit always is) read base.symbol(lo..hi) once
-and gather each row at its offset, when that strip is no longer than the
-table; any other point list reads each symbol.
+equal bit for bit.  A shift orbit reads its symbols from one strip: it is
+its base word at shifted offsets, so base.symbol(lo..hi) is read once and
+each row gathered at its offset, when that strip is no longer than the
+table.  A point list reads each symbol.
 
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
@@ -297,20 +297,13 @@ def _reader(points: Sequence[SystemPoint]) -> _Reader:
     return _Reader(lambda view: view(points), lambda: points)
 
 
-def _orbit_reader(
-    sys: "GSystem", x: SystemPoint, rows: Sequence, points: Sequence | None = None
-) -> _Reader:
+def _orbit_reader(sys: "GSystem", x: SystemPoint, rows: Sequence) -> _Reader:
     """read(view) = view.of_orbit(x, rows), the view over the orbit g*x for g in rows.
 
-    The orbit's points, when given, must be that orbit; otherwise they are
-    acted out only if a plain callable asks for them.
+    The orbit's points are acted out only if something asks for ``points``.
     """
     _check_point(sys, x)
-
-    def make_points():
-        return _orbit(sys, x, rows) if points is None else points
-
-    return _Reader(lambda view: view.of_orbit(x, rows), make_points)
+    return _Reader(lambda view: view.of_orbit(x, rows), lambda: _orbit(sys, x, rows))
 
 
 def _batched(name: str, batch, sup_norm: float = 1.0) -> Observable:
@@ -372,19 +365,6 @@ def _strip_symbols(
     return np.array(rows, dtype=np.int8).reshape(-1, K)
 
 
-def _symbols(words: Sequence[Word], positions: Sequence[int]) -> np.ndarray:
-    """int8 table [[w.symbol(k) for k in positions] for w in words].
-
-    Words that are shifts of one base word read one strip of its symbols
-    (``_strip_symbols``); any other list reads each symbol.
-    """
-    pairs = [_unshifted(w) for w in words]
-    if pairs and all(b is pairs[0][0] for b, _ in pairs):
-        return _strip_symbols(pairs[0][0], [o for _, o in pairs], positions)
-    rows = [[w.symbol(k) for k in positions] for w in words]
-    return np.array(rows, dtype=np.int8).reshape(-1, len(positions))
-
-
 def _shift_offsets(x: SystemPoint, rows: Sequence) -> tuple[Word, list[int]]:
     """The shift action: g*x is the base word of x shifted by offset + g."""
     base, offset = _unshifted(x.payload)
@@ -399,7 +379,8 @@ class _Window:
 
     def __call__(self, points: Sequence[SystemPoint]) -> np.ndarray:
         span = range(-self.radius, self.radius + 1)
-        return _symbols([p.payload for p in points], span)
+        rows = [[p.payload.symbol(k) for k in span] for p in points]
+        return np.array(rows, dtype=np.int8).reshape(-1, len(span))
 
     def of_orbit(self, x: SystemPoint, rows: Sequence) -> np.ndarray:
         span = range(-self.radius, self.radius + 1)
@@ -685,7 +666,8 @@ class _Shift(Space):
     def coords(self, sys, points, tol):
         # one int8 symbol column per enumerated position
         positions = _z_enumeration(_truncation_depth(tol))
-        return _symbols([p.payload for p in points], positions)
+        rows = [[p.payload.symbol(pos) for pos in positions] for p in points]
+        return np.array(rows, dtype=np.int8).reshape(-1, len(positions))
 
     def kernel(self, sys, U, V):
         D = np.zeros(np.broadcast_shapes(U.shape[:-1], V.shape[:-1]))

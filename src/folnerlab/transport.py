@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .measures import EmpiricalMeasure
-from .systems import _coords, _kernel_matrix, pairwise_distances
+from .systems import _coords, _kernel_matrix
 
 try:
     import numba
@@ -234,7 +234,13 @@ def orbit_cost_matrix(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float
 ) -> CostMatrix:
     """Entries d(atom_i of mu, atom_j of nu) with per-entry error <= tol."""
-    D = pairwise_distances(mu.system, mu.atoms, nu.atoms, tol)
+    U, V = (_coords(mu.system, m.atoms, tol) for m in (mu, nu))
+    return _cost_matrix(mu, nu, U, V)
+
+
+def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> CostMatrix:
+    """The cost matrix between mu and nu from their atoms' coordinates U and V."""
+    D = _kernel_matrix(mu.system, U, V)
     return CostMatrix(D, provenance=(mu.origin[0], nu.origin[0], mu.origin[1]))
 
 
@@ -253,9 +259,7 @@ def _w1(a: tuple, b: tuple) -> float:
     if b[1] < a[1]:
         a, b = b, a
     (mu, _, U), (nu, _, V) = a, b
-    D = _kernel_matrix(mu.system, U, V)
-    C = CostMatrix(D, provenance=(mu.origin[0], nu.origin[0], mu.origin[1]))
-    return assignment_min(C).cost
+    return assignment_min(_cost_matrix(mu, nu, U, V)).cost
 
 
 def wasserstein_empirical(

@@ -668,17 +668,18 @@ def _fresh(word):
 
 
 @pytest.mark.parametrize("word", STRIP_WORDS, ids=lambda w: w.key()[0])
-def test_shift_strips_equal_per_symbol_reads(word, monkeypatch):
-    from folnerlab.systems import _truncation_depth, _Window, _z_enumeration
+def test_shift_orbit_strips_equal_per_symbol_reads(word, monkeypatch):
+    from folnerlab.systems import (
+        _shift_offsets, _strip_symbols, _truncation_depth, _Window, _z_enumeration,
+    )
 
     sh = fl.full_shift()
     space = fl.systems.space_of(sh)
     strips = []
-    strip = fl.systems._strip_symbols
 
     def counting(base, offsets, positions):
         strips.append(len(offsets))
-        return strip(base, offsets, positions)
+        return _strip_symbols(base, offsets, positions)
 
     monkeypatch.setattr(fl.systems, "_strip_symbols", counting)
     for start in (0, -4, 7):
@@ -696,32 +697,43 @@ def test_shift_strips_equal_per_symbol_reads(word, monkeypatch):
                     [[_fresh(w).symbol(k) for k in positions] for w in words],
                     dtype=np.int8,
                 ).reshape(-1, len(positions))
-                strips.clear()
-                assert _same_coords(fl.systems._symbols(words, positions), expected)
-                assert strips, "points with one base word go through the strip reader"
+                got = _strip_symbols(*_shift_offsets(x, rows), positions)
+                assert _same_coords(got, expected)
             for r in range(4):
-                expected = fl.systems._symbols(words, range(-r, r + 1))
-                assert _same_coords(_Window(r)(points), expected)
-                assert _same_coords(_Window(r).of_orbit(x, rows), expected)
+                strips.clear()
+                got = _Window(r).of_orbit(x, rows)
+                assert strips, "an orbit's window goes through the strip reader"
+                assert _same_coords(got, _Window(r)(points))
             for tol in (1e-3, 1e-12):
                 expected = space.coords(sh, points, tol)
                 assert _same_coords(space.orbit_coords(sh, x, rows, tol), expected)
 
 
-def test_shift_points_without_a_shared_base_read_each_symbol(monkeypatch):
+def test_shift_point_lists_read_each_symbol(monkeypatch):
+    from folnerlab.systems import _truncation_depth, _Window, _z_enumeration
+
     strips = []
     monkeypatch.setattr(fl.systems, "_strip_symbols", lambda *a: strips.append(a))
     sh = fl.full_shift()
-    words = [
-        fl.RandomWord(3),
-        fl.shift_word(fl.RandomWord(3), 2),  # an equal base, but another object
-        fl.shift_word(fl.PeriodicWord((0, 1)), -5),
-        fl.FlippedWord(fl.RandomWord(3), {1}),
+    base = fl.RandomWord(3)
+    point_lists = [
+        [  # no shared base
+            fl.RandomWord(3),
+            fl.shift_word(fl.RandomWord(3), 2),  # an equal base, but another object
+            fl.shift_word(fl.PeriodicWord((0, 1)), -5),
+            fl.FlippedWord(fl.RandomWord(3), {1}),
+        ],
+        [fl.shift_word(base, k) for k in (0, 1, 2, 5)],  # one base: still per point
     ]
-    points = [fl.shift_point(sh, w) for w in words]
-    for positions in (range(-2, 3), fl.systems._z_enumeration(12)):
-        got = fl.systems._symbols([p.payload for p in points], positions)
-        expected = [[_fresh(w).symbol(k) for k in positions] for w in words]
-        assert got.dtype == np.int8 and got.tolist() == expected
-    assert fl.systems.space_of(sh).coords(sh, points, 1e-4).shape == (4, 14)
+    for words in point_lists:
+        points = [fl.shift_point(sh, w) for w in words]
+        for r, positions in (
+            (2, range(-2, 3)), (None, _z_enumeration(_truncation_depth(1e-4)))
+        ):
+            expected = [[_fresh(w).symbol(k) for k in positions] for w in words]
+            got = (
+                fl.systems.space_of(sh).coords(sh, points, 1e-4)
+                if r is None else _Window(r)(points)
+            )
+            assert got.dtype == np.int8 and got.tolist() == expected
     assert strips == []
