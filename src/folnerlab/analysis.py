@@ -523,7 +523,7 @@ def unique_ergodicity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
-    readers = [_reader(mu.atoms) for mu in measures]
+    readers = [_reader(sys, mu.atoms) for mu in measures]
     terms, integrals = _integrated(readers, F, family, N)
     # each measure's sort key and coords once, for all its pairs
     sides = [_w1_side(mu, tol) for mu in measures] if len(points) > 1 else []

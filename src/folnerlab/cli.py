@@ -523,10 +523,8 @@ def _run_config(config: dict, out_dir: str, seed_override: int | None) -> dict:
 
     indices = None
     if "indices" in config:
-        raw = config["indices"]
-        if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
-            raise ConfigError("indices must be a list of integers", "indices")
-        indices = tuple(raw)
+        _list_of(_integer)(config["indices"], "indices")
+        indices = tuple(config["indices"])
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in config:
@@ -843,7 +841,7 @@ def _suite_weak_star() -> list[_Check]:
         rows, positions = analysis._union_rows(sys_obj, subsets)
         orbit = systems._orbit_reader(sys_obj, x, rows)
         table = measures._integrals(orbit, positions, terms)
-        points = systems._reader(systems._orbit(sys_obj, x, rows))
+        points = systems._reader(sys_obj, systems._orbit(sys_obj, x, rows))
         from_orbit &= table == measures._integrals(points, positions, terms)
         for F, row in zip(subsets, table):
             mu = measures.empirical_measure(sys_obj, x, F)

@@ -2,9 +2,9 @@
 
 The weak-* metric is built from a fixed, documented observable family per
 space; comparing values produced with different families is meaningless and
-never done here.  Each space kind's ``Space`` in ``systems`` owns its family
-and the per-orbit view arrays its observables read; the ``systems``
-docstring tables both.
+never done here.  Each space kind's ``Space`` in ``systems`` owns its family,
+and the ``systems`` docstring tables each family and the coordinate arrays
+its observables read.
 
 Integrals come from one evaluation per orbit point: ``_integrals`` runs each
 observable once over an orbit, as one batch for a family observable, and
@@ -13,11 +13,10 @@ sum is ``math.fsum``, exactly rounded, so the order of the points does not
 change it, and an integral over a shared orbit equals ``integrate`` on the
 subset's own measure bit for bit.
 
-The orbit comes as a reader (``systems._reader`` over a measure's atoms, or
-``systems._orbit_reader`` over a point and coordinate rows).  An orbit reader
-reads each view array straight from the orbit through the space's
-``orbit_coords``, bit for bit the array read from the points, and builds the
-points only when a plain callable needs them.
+The orbit comes as a reader: ``systems._reader(sys, atoms)`` reads the
+space's ``coords`` of a measure's atoms, and ``systems._orbit_reader(sys, x,
+rows)`` reads ``orbit_coords`` of a point and coordinate rows, bit for bit the
+same arrays, building the points only when a plain callable needs them.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def _integrals(
     """table[k][i] = (1/|F_k|) * fsum of observables[i] over the orbit at positions[k].
 
     Each observable is evaluated once per orbit point: a family observable as
-    one batch over the reader's view arrays, any other per point of
+    one batch over the reader's coordinate arrays, any other per point of
     ``read.points``.  ``positions[k]`` holds the indices into the orbit of
     the k-th subset's points.
     """
@@ -137,7 +136,7 @@ def integrate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _integrals(_reader(mu.atoms), _everywhere(mu.count), [f])[0][0]
+    return _integrals(_reader(mu.system, mu.atoms), _everywhere(mu.count), [f])[0][0]
 
 
 def birkhoff_average(
@@ -178,7 +177,8 @@ def rho_distance(
             f"vs {nu.system.system_id!r}"
         )
     a, b = (
-        _integrals(_reader(m.atoms), _everywhere(m.count), terms)[0] for m in (mu, nu)
+        _integrals(_reader(m.system, m.atoms), _everywhere(m.count), terms)[0]
+        for m in (mu, nu)
     )
     return MeasureDistanceResult(_rho_sum(terms, a, b), math.ldexp(1.0, 1 - N), N)
 

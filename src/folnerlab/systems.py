@@ -37,27 +37,28 @@ Payloads, and the observable families (1-based index i), per space kind:
             h(x, y) = f_i(x) * g_j(y) with factor indices (i, j) walked along
             anti-diagonals i + j = 1, 2, ... (index 0 means the constant 1)
 
-Every family observable is one formula over a per-orbit view array, built
-once per orbit and shared by the observables that read it:
-  circle    the float64 array of ``coords`` (float of each payload)
-  torus     the (n, d) float64 array of ``coords``
-  shift     an int8 window array of shape (n, 2r+1), the symbols at
-            positions -r..r, one per radius r
-  interval  the float64 array of ``coords`` (the payloads)
-  union     the pair (tags, floats) of ``coords``, tag 0 for component a
-  product   the pair of the two factors' arrays
+Every family observable is one formula over the orbit's coordinate array,
+which a reader reads once per orbit and tol and shares between observables:
+``read(tol)`` is ``coords`` of a point list or ``orbit_coords`` of an orbit,
+equal bit for bit, and ``read.side(i)`` is the reader of product factor i.
+  circle    ``read()``, the float64 array (float of each payload)
+  torus     ``read()``, the (n, d) float64 array
+  shift     ``read(2^-(2r+1))`` for a cylinder of radius r: depth 2r+1, the
+            int8 symbols at positions -r..r in ``_z_enumeration`` column
+            order, so each pattern is permuted into that order
+  interval  ``read()``, the float64 array of the payloads
+  union     ``read()``, the pair (tags, floats), tag 0 for component a
+  product   ``f(read.side(0)) * g(read.side(1))``
 numpy applies only +, -, *, comparisons and ``where`` to these arrays;
 cos, sin and x**j run element by element on Python floats (``tolist``), so
 every value is bit for bit the float formula applied to one point.  ``fn(p)``
-is the same formula over a one-point orbit.  Plain callables, and
+is the same formula over a one-point reader.  Plain callables, and
 observables built directly from ``fn``, run on every atom.
 
-A view reads its array from points, ``view(points)``, or straight from an
-orbit, ``view.of_orbit(x, rows)``, through ``orbit_coords``; the two are
-equal bit for bit.  A shift orbit reads its symbols from one strip: it is
-its base word at shifted offsets, so base.symbol(lo..hi) is read once and
-each row gathered at its offset, when that strip is no longer than the
-table.  A point list reads each symbol.
+A shift orbit reads its symbols from one strip: it is its base word at
+shifted offsets, so base.symbol(lo..hi) is read once and each row gathered
+at its offset, when that strip is no longer than the table.  A point list
+reads each symbol.
 
 Rotation numbers are exact rationals.  A parameter standing in for an
 irrational is a "surrogate": a rational approximant with denominator above
@@ -67,6 +68,7 @@ is approximate and the workbench never claims otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -257,58 +259,72 @@ class ObservableFamily:
 class _BatchObservable(Observable):
     """A family observable: ``batch(read)`` is its formula over a whole orbit.
 
-    ``read(view)`` returns the view's array over the orbit's points, built
-    once per orbit and shared by every observable that reads it; ``fn`` is
-    the same formula over a one-point orbit.
+    ``read`` is the orbit's reader (``_Reader``); ``fn`` is the same formula
+    over a one-point orbit.
     """
 
-    batch: Callable[[Callable[[object], object]], np.ndarray]
+    batch: Callable[["_Reader"], np.ndarray]
 
 
 class _Reader:
-    """read(view): one view's array over an orbit, computed on first use and then kept.
+    """The arrays of one orbit, each read on first use and then kept.
 
-    ``fetch(view)`` computes the array; ``points`` is the orbit's point list,
-    built by ``make_points`` only when a plain callable asks for it.
+    ``read(tol)`` is the space's coordinate array of the orbit at that tol,
+    through ``fetch(tol)``; ``read.side(i)`` is the reader of product factor
+    i, through ``make_side(i)``; ``points`` is the orbit's point list, built
+    by ``make_points`` only when a plain callable asks for it.
     """
 
-    def __init__(self, fetch: Callable, make_points: Callable[[], Sequence]):
+    def __init__(self, fetch: Callable, make_side: Callable, make_points: Callable):
         self._fetch = fetch
+        self._make_side = make_side
         self._make_points = make_points
-        self._points: Sequence[SystemPoint] | None = None
         self._arrays: dict = {}
+        self._sides: dict = {}
 
-    def __call__(self, view):
-        try:
-            return self._arrays[view]
-        except KeyError:
-            value = self._arrays[view] = self._fetch(view)
-            return value
+    def __call__(self, tol: float = 1.0):
+        if tol not in self._arrays:
+            self._arrays[tol] = self._fetch(tol)
+        return self._arrays[tol]
 
-    @property
+    def side(self, i: int) -> "_Reader":
+        if i not in self._sides:
+            self._sides[i] = self._make_side(i)
+        return self._sides[i]
+
+    @functools.cached_property
     def points(self) -> Sequence[SystemPoint]:
-        if self._points is None:
-            self._points = self._make_points()
-        return self._points
+        return self._make_points()
 
 
-def _reader(points: Sequence[SystemPoint]) -> _Reader:
-    """read(view) = view(points)."""
-    return _Reader(lambda view: view(points), lambda: points)
+def _reader(sys: "GSystem", points: Sequence[SystemPoint]) -> _Reader:
+    """read(tol) = coords(sys, points, tol); side i reads factor i of each point."""
+    space = space_of(sys)
+    return _Reader(
+        lambda tol: space.coords(sys, points, tol),
+        lambda i: _reader(sys.factors[i], [p.payload[i] for p in points]),
+        lambda: points,
+    )
 
 
 def _orbit_reader(sys: "GSystem", x: SystemPoint, rows: Sequence) -> _Reader:
-    """read(view) = view.of_orbit(x, rows), the view over the orbit g*x for g in rows.
+    """read(tol) = orbit_coords(sys, x, rows, tol), over the orbit g*x for g in rows.
 
     The orbit's points are acted out only if something asks for ``points``.
     """
     _check_point(sys, x)
-    return _Reader(lambda view: view.of_orbit(x, rows), lambda: _orbit(sys, x, rows))
+    space = space_of(sys)
+    return _Reader(
+        lambda tol: space.orbit_coords(sys, x, rows, tol),
+        # the action is diagonal: each side's orbit is its factor point's orbit
+        lambda i: _orbit_reader(sys.factors[i], x.payload[i], rows),
+        lambda: _orbit(sys, x, rows),
+    )
 
 
-def _batched(name: str, batch, sup_norm: float = 1.0) -> Observable:
+def _batched(sys: "GSystem", name: str, batch, sup_norm: float = 1.0) -> Observable:
     def fn(p: SystemPoint) -> float:
-        return float(batch(_reader([p]))[0])
+        return float(batch(_reader(sys, [p]))[0])
 
     return _BatchObservable(name, sup_norm, fn, batch)
 
@@ -316,24 +332,6 @@ def _batched(name: str, batch, sup_norm: float = 1.0) -> Observable:
 def _elementwise(fn: Callable, arr: np.ndarray, *args) -> np.ndarray:
     """fn on each element as Python floats (math.cos, math.sin, operator.pow)."""
     return np.fromiter(map(fn, arr.tolist(), *args), np.float64, len(arr))
-
-
-class _Coords:
-    """The view ``coords``: the space's coordinate array over the points or an orbit.
-
-    One view object per family, so its observables share the array; these
-    kinds' coords ignore the tol, which picks only a shift's symbol depth.
-    """
-
-    def __init__(self, space: "Space", sys: "GSystem"):
-        self.space = space
-        self.sys = sys
-
-    def __call__(self, points: Sequence[SystemPoint]) -> object:
-        return self.space.coords(self.sys, points, 1.0)
-
-    def of_orbit(self, x: SystemPoint, rows: Sequence) -> object:
-        return self.space.orbit_coords(self.sys, x, rows, 1.0)
 
 
 _WAVES = (("cos", math.cos), ("sin", math.sin))
@@ -369,37 +367,6 @@ def _shift_offsets(x: SystemPoint, rows: Sequence) -> tuple[Word, list[int]]:
     """The shift action: g*x is the base word of x shifted by offset + g."""
     base, offset = _unshifted(x.payload)
     return base, [offset + n for (n,) in rows]
-
-
-@dataclass(frozen=True)
-class _Window:
-    """The int8 symbols of shift points at positions -radius..radius, one row each."""
-
-    radius: int
-
-    def __call__(self, points: Sequence[SystemPoint]) -> np.ndarray:
-        span = range(-self.radius, self.radius + 1)
-        rows = [[p.payload.symbol(k) for k in span] for p in points]
-        return np.array(rows, dtype=np.int8).reshape(-1, len(span))
-
-    def of_orbit(self, x: SystemPoint, rows: Sequence) -> np.ndarray:
-        span = range(-self.radius, self.radius + 1)
-        return _strip_symbols(*_shift_offsets(x, rows), span)
-
-
-@dataclass(frozen=True)
-class _Side:
-    """A factor view read on one side (0 or 1) of product points."""
-
-    side: int
-    view: Callable
-
-    def __call__(self, points: Sequence[SystemPoint]) -> object:
-        return self.view([p.payload[self.side] for p in points])
-
-    def of_orbit(self, x: SystemPoint, rows: Sequence) -> object:
-        # the action is diagonal: each side's orbit is its factor point's orbit
-        return self.view.of_orbit(x.payload[self.side], rows)
 
 
 def _lattice_characters(d: int) -> Iterator[tuple[int, ...]]:
@@ -452,7 +419,7 @@ def _truncation_depth(tol: float) -> int:
 
 
 def _z_enumeration(K: int) -> list[int]:
-    """The fixed enumeration 0, 1, -1, 2, -2, ... of the integers."""
+    """The fixed enumeration 0, -1, 1, -2, 2, ... of the integers."""
     out = []
     for i in range(K):
         half, odd = divmod(i + 1, 2)
@@ -551,14 +518,14 @@ class _Circle(Space):
         return circle_point(sys, x), circle_point(sys, x + _offset(rng, step))
 
     def observables(self, sys):
-        view = _Coords(self, sys)
         j = 1
         while True:
             w = _TWO_PI * j
             for name, wave in _WAVES:
                 yield _batched(
+                    sys,
                     f"{name}_{j}",
-                    lambda read, w=w, wave=wave: _elementwise(wave, w * read(view)),
+                    lambda read, w=w, wave=wave: _elementwise(wave, w * read()),
                 )
             j += 1
 
@@ -623,19 +590,19 @@ class _Torus(Space):
         return torus_point(sys, xs), torus_point(sys, ys)
 
     def observables(self, sys):
-        view = _Coords(self, sys)
         for k in _lattice_characters(len(sys.param("alphas"))):
             label = ",".join(map(str, k))
 
             def phase(read, k=k) -> np.ndarray:
                 # k . v accumulated from 0.0 coordinate by coordinate, as sum() does
-                V, s = read(view), 0.0
+                V, s = read(), 0.0
                 for c, ki in enumerate(k):
                     s = s + ki * V[:, c]
                 return _TWO_PI * s
 
             for name, wave in _WAVES:
                 yield _batched(
+                    sys,
                     f"{name}[{label}]",
                     lambda read, ph=phase, wave=wave: _elementwise(wave, ph(read)),
                 )
@@ -705,13 +672,17 @@ class _Shift(Space):
     def observables(self, sys):
         r = 0
         while True:
-            window = _Window(r)
+            # depth 2r+1 reads positions -r..r, in _z_enumeration column order
+            tol = math.ldexp(1.0, -2 * r - 1)
+            order = [k + r for k in _z_enumeration(2 * r + 1)]
             for pattern in itertools.product((0, 1), repeat=2 * r + 1):
                 label = "".join(map(str, pattern))
+                columns = [pattern[k] for k in order]
                 yield _batched(
+                    sys,
                     f"cyl[{-r}..{r}={label}]",
-                    lambda read, window=window, pattern=pattern: np.where(
-                        np.all(read(window) == pattern, axis=1), 1.0, 0.0
+                    lambda read, tol=tol, columns=columns: np.where(
+                        np.all(read(tol) == columns, axis=1), 1.0, 0.0
                     ),
                 )
             r += 1
@@ -769,14 +740,12 @@ class _Interval(Space):
         return interval_point(sys, x), interval_point(sys, y)
 
     def observables(self, sys):
-        view = _Coords(self, sys)
         j = 1
         while True:
             yield _batched(
+                sys,
                 f"pow_{j}",
-                lambda read, j=j: _elementwise(
-                    operator.pow, read(view), itertools.repeat(j)
-                ),
+                lambda read, j=j: _elementwise(operator.pow, read(), itertools.repeat(j)),
             )
             j += 1
 
@@ -835,14 +804,12 @@ class _Union(Space):
         return union_point(sys, tag, x), union_point(sys, tag, x + _offset(rng, step))
 
     def observables(self, sys):
-        view = _Coords(self, sys)  # (tags, floats), tag 0 for component a
-        yield _batched(
-            "component_a", lambda read: np.where(read(view)[0] == 0, 1.0, 0.0)
-        )
+        # read() is (tags, floats), tag 0 for component a
+        yield _batched(sys, "component_a", lambda read: np.where(read()[0] == 0, 1.0, 0.0))
 
         def on(tag: int, w: float, wave: Callable[[float], float]) -> Callable:
             def batch(read):
-                tags, u = read(view)
+                tags, u = read()
                 return np.where(tags == tag, _elementwise(wave, w * u), 0.0)
 
             return batch
@@ -852,7 +819,7 @@ class _Union(Space):
             w = _TWO_PI * j
             for tag, label in enumerate(("a", "b")):
                 for name, wave in _WAVES:
-                    yield _batched(f"{name}_{j}@{label}", on(tag, w, wave))
+                    yield _batched(sys, f"{name}_{j}@{label}", on(tag, w, wave))
             j += 1
 
 
@@ -926,19 +893,15 @@ class _Product(Space):
         def factor(family: ObservableFamily, idx: int) -> Observable:
             return _ONE if idx == 0 else family.observable(idx)
 
-        def on_side(read: Callable, side: int) -> Callable:
-            return lambda view: read(_Side(side, view))
-
         s = 1
         while True:
             for i in range(s + 1):
                 f = factor(left, i)
                 g = factor(right, s - i)
                 yield _batched(
+                    sys,
                     f"{f.name}*{g.name}",
-                    lambda read, f=f.batch, g=g.batch: (
-                        f(on_side(read, 0)) * g(on_side(read, 1))
-                    ),
+                    lambda read, f=f.batch, g=g.batch: f(read.side(0)) * g(read.side(1)),
                     f.sup_norm * g.sup_norm,
                 )
             s += 1

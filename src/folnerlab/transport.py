@@ -4,9 +4,7 @@ For two uniform measures with n atoms each, every transport plan is a doubly
 stochastic matrix and the extreme points of those are the permutation
 matrices, so the optimum is attained at an assignment.  The solver is a
 primal-dual shortest-augmenting-path method, O(n^3), returning dual
-potentials as an optimality certificate.  The hot loop is compiled with
-numba when available and runs as plain Python otherwise (same code, same
-results, just slower).
+potentials as an optimality certificate.
 """
 
 from __future__ import annotations
@@ -20,11 +18,6 @@ import numpy as np
 from .errors import SizeLimitError, UnsupportedCaseError
 from .measures import EmpiricalMeasure
 from .systems import _coords, _kernel_matrix
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
 
 __all__ = [
     "CostMatrix",
@@ -172,18 +165,12 @@ def _assignment_core(cost, n):
     return link[:n], u[:n], v[:n]
 
 
-if numba is not None:
-    _assignment_core_fast = numba.njit(cache=True)(_assignment_core)
-else:  # pragma: no cover - exercised only without numba
-    _assignment_core_fast = _assignment_core
-
-
 def assignment_min(C: CostMatrix) -> AssignmentResult:
     """Globally optimal assignment; ties resolved arbitrarily, cost unique."""
     n = C.n
     if n > _MAX_SOLVER_SIZE:
         raise SizeLimitError(f"solver supports n <= {_MAX_SOLVER_SIZE}, got {n}")
-    link, u, v = _assignment_core_fast(C.entries, n)
+    link, u, v = _assignment_core(C.entries, n)
     row_for_col = tuple(int(r) for r in link)
     cost = math.fsum(C.entries[row_for_col[j], j] for j in range(n)) / n
     return AssignmentResult(row_for_col, cost, tuple(u.tolist()), tuple(v.tolist()))

@@ -349,13 +349,14 @@ _WDIST = ["wdist", "--system", "rotation", "--x", "0", "--y", "1/8", "--n", "4"]
         ({"operation": {"name": ["wdist"]}}, None, 2, "ConfigError]: operation.name:"),
         ({"seed": "abc"}, None, 2, "ConfigError]: seed:"),
         ({"seed": True}, None, 2, "ConfigError]: seed:"),
+        ({"indices": [True, 4]}, None, 2, "ConfigError]: indices"),
         (None, _WDIST + ["--params", "[1]"], 2, "ConfigError]: system.params:"),
         # the right type with a bad value keeps its runtime check
         ({"tolerances": {"metric": 0}}, None, 1, "error[ValueError]"),
     ],
     ids=["metric-str", "metric-bool", "rho_terms-float", "threshold-str",
          "params-list", "name-list", "operation-list", "seed-str", "seed-bool",
-         "wdist-params-list", "metric-zero"],
+         "indices-bool", "wdist-params-list", "metric-zero"],
 )
 def test_config_value_types(overrides, argv, code, needle, tmp_path, capsys):
     if argv is None:

@@ -521,6 +521,7 @@ def family_value(sys_obj, i, p):
         fl.interval_square(),
         fl.two_rotations(),
         fl.product_system(fl.rotation("golden")),
+        fl.product_system(fl.full_shift()),
         fl.product_system(fl.two_rotations()),
     ],
     ids=lambda s: s.system_id,

@@ -670,7 +670,7 @@ def _fresh(word):
 @pytest.mark.parametrize("word", STRIP_WORDS, ids=lambda w: w.key()[0])
 def test_shift_orbit_strips_equal_per_symbol_reads(word, monkeypatch):
     from folnerlab.systems import (
-        _shift_offsets, _strip_symbols, _truncation_depth, _Window, _z_enumeration,
+        _shift_offsets, _strip_symbols, _truncation_depth, _z_enumeration,
     )
 
     sh = fl.full_shift()
@@ -701,16 +701,17 @@ def test_shift_orbit_strips_equal_per_symbol_reads(word, monkeypatch):
                 assert _same_coords(got, expected)
             for r in range(4):
                 strips.clear()
-                got = _Window(r).of_orbit(x, rows)
+                window = math.ldexp(1.0, -2 * r - 1)  # depth 2r+1: positions -r..r
+                got = space.orbit_coords(sh, x, rows, window)
                 assert strips, "an orbit's window goes through the strip reader"
-                assert _same_coords(got, _Window(r)(points))
+                assert _same_coords(got, space.coords(sh, points, window))
             for tol in (1e-3, 1e-12):
                 expected = space.coords(sh, points, tol)
                 assert _same_coords(space.orbit_coords(sh, x, rows, tol), expected)
 
 
 def test_shift_point_lists_read_each_symbol(monkeypatch):
-    from folnerlab.systems import _truncation_depth, _Window, _z_enumeration
+    from folnerlab.systems import _truncation_depth, _z_enumeration
 
     strips = []
     monkeypatch.setattr(fl.systems, "_strip_symbols", lambda *a: strips.append(a))
@@ -727,13 +728,9 @@ def test_shift_point_lists_read_each_symbol(monkeypatch):
     ]
     for words in point_lists:
         points = [fl.shift_point(sh, w) for w in words]
-        for r, positions in (
-            (2, range(-2, 3)), (None, _z_enumeration(_truncation_depth(1e-4)))
-        ):
+        for tol in (math.ldexp(1.0, -5), 1e-4):  # the radius-2 window, then depth 14
+            positions = _z_enumeration(_truncation_depth(tol))
             expected = [[_fresh(w).symbol(k) for k in positions] for w in words]
-            got = (
-                fl.systems.space_of(sh).coords(sh, points, 1e-4)
-                if r is None else _Window(r)(points)
-            )
+            got = fl.systems.space_of(sh).coords(sh, points, tol)
             assert got.dtype == np.int8 and got.tolist() == expected
     assert strips == []

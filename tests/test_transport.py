@@ -9,7 +9,6 @@ import pytest
 
 import folnerlab as fl
 from folnerlab import SizeLimitError, UnsupportedCaseError
-from folnerlab.transport import _assignment_core, _assignment_core_fast
 
 
 def random_cost(rng, n, style="uniform"):
@@ -52,19 +51,6 @@ def test_solver_matches_scipy_on_medium_instances():
         rows, cols = scipy_opt.linear_sum_assignment(C.entries)
         reference = float(C.entries[rows, cols].sum()) / n
         assert abs(ours - reference) <= 1e-10
-
-
-def test_interpreted_and_compiled_cores_agree_bitwise():
-    # the numba fallback is the same function; tie-breaking must match too
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(1, 30))
-        M = rng.random((n, n))
-        link_a, u_a, v_a = _assignment_core(M, n)
-        link_b, u_b, v_b = _assignment_core_fast(M, n)
-        assert np.array_equal(np.asarray(link_a), np.asarray(link_b))
-        assert np.array_equal(np.asarray(u_a), np.asarray(u_b))
-        assert np.array_equal(np.asarray(v_a), np.asarray(v_b))
 
 
 def test_worked_three_by_three_instance():
