@@ -24,15 +24,14 @@ from .measures import (
     ObservableFamily,
     _everywhere,
     _integrals,
-    _measure_on,
     _rho_sum,
     _rho_terms,
     empirical_measure,
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _check_subset, _orbit, _orbit_coords, _orbit_reader, _reader,
-    metric, pair_point, space_of,
+    GSystem, SystemPoint, _check_subset, _orbit_coords, _orbit_reader, metric,
+    pair_point, space_of,
 )
 from .transport import (
     _w1, _w1_side, assignment_min, orbit_cost_matrix, wasserstein_empirical
@@ -99,29 +98,6 @@ def _union_rows(
     return list(index), positions[::-1]
 
 
-def _measures_on(
-    sys: GSystem,
-    x: SystemPoint,
-    subsets: Sequence[FiniteSubset],
-    atoms: Sequence[SystemPoint],
-    positions: Sequence[np.ndarray],
-) -> list[EmpiricalMeasure]:
-    """The empirical measures of x over each subset, given the orbit over the
-    subsets' union rows and each subset's positions in it (_union_rows)."""
-    return [
-        _measure_on(sys, x, F, [atoms[p] for p in pos.tolist()])
-        for F, pos in zip(subsets, positions)
-    ]
-
-
-def _measures_along(
-    sys: GSystem, x: SystemPoint, subsets: Sequence[FiniteSubset]
-) -> list[EmpiricalMeasure]:
-    """The empirical measures of x over each subset, acting by each g only once."""
-    rows, positions = _union_rows(sys, subsets)
-    return _measures_on(sys, x, subsets, _orbit(sys, x, rows), positions)
-
-
 @dataclass(frozen=True)
 class PseudometricTrace:
     """Finite trace n -> value of a pseudometric estimate."""
@@ -182,8 +158,10 @@ def wasserstein_trace(
     """values[k] = W(empirical(x, F_{n_k}), empirical(y, F_{n_k}))."""
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
-    mus, nus = _measures_along(sys, x, subsets), _measures_along(sys, y, subsets)
-    values = tuple(wasserstein_empirical(mu, nu, tol) for mu, nu in zip(mus, nus))
+    values = tuple(
+        wasserstein_empirical(*(empirical_measure(sys, p, F) for p in (x, y)), tol)
+        for F in subsets
+    )
     return PseudometricTrace("wasserstein", indices, values)
 
 
@@ -357,10 +335,11 @@ def coupling_bounds_check(
     subsets = [seq.subset(n) for n in indices]
     rows = []
     for pi, (z1, z2) in enumerate(pairs):
-        mus1 = _measures_along(sys, z1, subsets)
-        mus2 = _measures_along(sys, z2, subsets)
         _, y1 = z1.payload
-        mus_diag = _measures_along(sys, pair_point(sys, y1, y1), subsets)
+        mus1, mus2, mus_diag = (
+            [empirical_measure(sys, z, F) for F in subsets]
+            for z in (z1, z2, pair_point(sys, y1, y1))
+        )
         diagonal_means = _mean_distances(
             sys, subsets, [mu.atoms for mu in mus1], [mu.atoms for mu in mus2], tol
         )
@@ -523,7 +502,7 @@ def unique_ergodicity_diagnostic(
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
-    readers = [_reader(sys, mu.atoms) for mu in measures]
+    readers = [mu._reader() for mu in measures]
     terms, integrals = _integrated(readers, F, family, N)
     # each measure's sort key and coords once, for all its pairs
     sides = [_w1_side(mu, tol) for mu in measures] if len(points) > 1 else []
@@ -581,9 +560,9 @@ def generic_measure_trace(
         family = observable_family(sys)
     subsets = [seq.subset(n) for n in indices]
     rows, positions = _union_rows(sys, subsets)
-    # the measures are built on the reader's points, so the orbit is acted once
     read = _orbit_reader(sys, x, rows)
-    measures = tuple(_measures_on(sys, x, subsets, read.points, positions))
+    # orbit pieces: their atoms are acted only if a caller reads them
+    measures = tuple(empirical_measure(sys, x, F) for F in subsets)
     terms = _rho_terms(family, N)
     table = _integrals(read, positions, terms)
     gaps = tuple(_rho_sum(terms, a, b) for a, b in zip(table, table[1:]))

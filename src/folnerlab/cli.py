@@ -845,7 +845,9 @@ def _suite_weak_star() -> list[_Check]:
         from_orbit &= table == measures._integrals(points, positions, terms)
         for F, row in zip(subsets, table):
             mu = measures.empirical_measure(sys_obj, x, F)
+            listed = measures.EmpiricalMeasure(sys_obj, mu.atoms, mu.origin)
             shared &= row == [measures.integrate(mu, f) for f in terms]
+            shared &= row == [measures.integrate(listed, f) for f in terms]
         # the kernel on orbit coords against the scalar metric at tol/|F|
         trace = analysis.mean_distance_trace(sys_obj, x, y, seq, indices)
         for F, value in zip(subsets, trace.values):
@@ -864,7 +866,7 @@ def _suite_weak_star() -> list[_Check]:
         _Check(
             "integrals over a shared orbit equal per-measure integrate bit for bit",
             shared,
-            f"{kinds}, 40 observables",
+            f"{kinds}, 40 observables, orbit-piece and point-list measures",
         ),
         _Check(
             "integrals read from an orbit equal integrals read from its points",

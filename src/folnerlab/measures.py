@@ -13,17 +13,26 @@ sum is ``math.fsum``, exactly rounded, so the order of the points does not
 change it, and an integral over a shared orbit equals ``integrate`` on the
 subset's own measure bit for bit.
 
-The orbit comes as a reader: ``systems._reader(sys, atoms)`` reads the
-space's ``coords`` of a measure's atoms, and ``systems._orbit_reader(sys, x,
-rows)`` reads ``orbit_coords`` of a point and coordinate rows, bit for bit the
-same arrays, building the points only when a plain callable needs them.
+A measure made by ``empirical_measure`` is an orbit piece: it holds its
+point x and its subset F, and builds its atoms g*x only when something reads
+``atoms`` (its ``repr``, ``==``, ``hash``, a CSV export, W1's canonical sort
+key).  ``EmpiricalMeasure(sys, atoms, origin)`` is a point-list measure that
+holds the atoms it is given.  The two forms are equal when their atoms are.
+
+The orbit comes as a reader: ``systems._orbit_reader(sys, x, rows)`` reads
+``orbit_coords`` of an orbit piece's point and rows, building the points only
+when a plain callable needs them, and ``systems._reader(sys, atoms)`` reads
+the space's ``coords`` of a point list's atoms; the arrays are bit for bit
+the same.  ``integrate``, ``rho_distance``, ``birkhoff_average`` and W1's
+coordinates read a measure through its own form, so on an orbit piece none
+of them builds an atom.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -33,7 +42,8 @@ from .errors import SystemMismatchError
 from .groups import FiniteSubset
 from .systems import (
     GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _Reader,
-    _reader, atom_header, atom_row, orbit_sample, point_to_dict, space_of,
+    _check_point, _check_subset, _coords, _orbit, _orbit_coords, _orbit_reader,
+    _reader, atom_header, atom_row, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -50,43 +60,111 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Uniform atomic measure on an orbit piece; weights are exactly 1/n."""
+    """Uniform atomic measure on an orbit piece; weights are exactly 1/n.
 
-    system: GSystem
-    atoms: tuple[SystemPoint, ...]
-    origin: tuple[str, str]
+    ``EmpiricalMeasure(system, atoms, origin)`` holds the atoms it is given.
+    A measure made by ``empirical_measure`` is the orbit piece itself: it
+    holds the point x and the subset F, takes ``count`` from F and builds
+    ``atoms``, the points g*x for the rows g of F, only when they are first
+    read.  Both forms compare, hash and print by (system, atoms, origin), and
+    neither can be changed once made.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(
+        self, system: GSystem, atoms: tuple[SystemPoint, ...], origin: tuple[str, str]
+    ) -> None:
+        if not atoms:
             raise ValueError("an empirical measure needs at least one atom")
+        self._init(system, atoms, origin, None)
+
+    def _init(self, system: GSystem, atoms, origin: tuple[str, str], orbit) -> None:
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "_atoms", atoms)
+        object.__setattr__(self, "_orbit", orbit)
+
+    @classmethod
+    def _of_orbit(
+        cls, system: GSystem, x: SystemPoint, F: FiniteSubset, origin: tuple[str, str]
+    ) -> "EmpiricalMeasure":
+        """The measure on the orbit piece g*x for g in F, with no atom built."""
+        self = object.__new__(cls)
+        self._init(system, None, origin, (x, F))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def atoms(self) -> tuple[SystemPoint, ...]:
+        if self._atoms is None:
+            x, F = self._orbit
+            object.__setattr__(self, "_atoms", tuple(_orbit(self.system, x, _rows(F))))
+        return self._atoms
 
     @property
     def count(self) -> int:
-        return len(self.atoms)
+        return len(self.atoms) if self._orbit is None else self._orbit[1].size
 
     @property
     def weight(self) -> Fraction:
         return Fraction(1, self.count)
 
+    def _reader(self) -> _Reader:
+        """The reader of the atoms: of the orbit piece, or of the point list."""
+        if self._orbit is None:
+            return _reader(self.system, self.atoms)
+        x, F = self._orbit
+        return _orbit_reader(self.system, x, _rows(F))
+
+    def _coords(self, tol: float):
+        """The atoms' coordinate array at tol, read as ``_reader`` reads it."""
+        if self._orbit is None:
+            return _coords(self.system, self.atoms, tol)
+        x, F = self._orbit
+        return _orbit_coords(self.system, x, _rows(F), tol)
+
+    def _key(self) -> tuple:
+        return (self.system, self.atoms, self.origin)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(system={self.system!r}, "
+            f"atoms={self.atoms!r}, origin={self.origin!r})"
+        )
+
+
+def _rows(F: FiniteSubset) -> list:
+    """F's coordinate rows as lists of Python ints, the rows ``Space.orbit`` takes."""
+    return F.coords_array().tolist()
+
 
 def empirical_measure(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> EmpiricalMeasure:
-    """The measure (1/|F|) * sum of point masses at g*x for g in F."""
+    """The measure (1/|F|) * sum of point masses at g*x for g in F.
+
+    It is the orbit piece (x, F): its atoms are built only when read.
+    """
     if F.size == 0:
         raise ValueError("Folner subset must be nonempty")
-    return _measure_on(sys, x, F, orbit_sample(sys, x, F))
-
-
-def _measure_on(
-    sys: GSystem, x: SystemPoint, F: FiniteSubset, atoms: Sequence[SystemPoint]
-) -> EmpiricalMeasure:
-    """The empirical measure of x over F, given the orbit atoms g*x for g in F."""
+    _check_point(sys, x)
+    _check_subset(sys, F)
     origin = (
         json.dumps(point_to_dict(sys, x), sort_keys=True),
         f"{F.group_id} subset, size {F.size}",
     )
-    return EmpiricalMeasure(sys, tuple(atoms), origin)
+    return EmpiricalMeasure._of_orbit(sys, x, F, origin)
 
 
 def observable_family(sys: GSystem) -> ObservableFamily:
@@ -131,12 +209,13 @@ def integrate(
 ) -> float:
     """(1/n) * sum of f over the atoms, with compensated summation.
 
-    The summation itself is correctly rounded (fsum); tol is the budget the
-    caller grants for the per-atom evaluations.
+    tol must be positive, and it does not change the value: family
+    observables are exact to float rounding, and the sum is ``math.fsum``,
+    correctly rounded.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _integrals(_reader(mu.system, mu.atoms), _everywhere(mu.count), [f])[0][0]
+    return _integrals(mu._reader(), _everywhere(mu.count), [f])[0][0]
 
 
 def birkhoff_average(
@@ -146,7 +225,10 @@ def birkhoff_average(
     F: FiniteSubset,
     tol: float = 1e-9,
 ) -> float:
-    """(1/|F|) * sum over g in F of f(g*x)."""
+    """(1/|F|) * sum over g in F of f(g*x).
+
+    As in ``integrate``, tol must be positive and does not change the value.
+    """
     return integrate(empirical_measure(sys, x, F), f, tol)
 
 
@@ -176,10 +258,7 @@ def rho_distance(
             f"measures live on different spaces: {mu.system.system_id!r} "
             f"vs {nu.system.system_id!r}"
         )
-    a, b = (
-        _integrals(_reader(m.system, m.atoms), _everywhere(m.count), terms)[0]
-        for m in (mu, nu)
-    )
+    a, b = (_integrals(m._reader(), _everywhere(m.count), terms)[0] for m in (mu, nu))
     return MeasureDistanceResult(_rho_sum(terms, a, b), math.ldexp(1.0, 1 - N), N)
 
 

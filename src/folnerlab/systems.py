@@ -9,13 +9,15 @@ integers.  ``orbit_coords(sys, x, rows, tol)`` is the same action in batch
 form: the coordinate array of the orbit, bit for bit ``coords`` of the
 points, with no point built.  Circle, torus and union orbits are integer
 numerators over one denominator D, from one private helper that feeds both
-methods; their floats are n / D by Python-int true division, which is
-correctly rounded and so equals float(Fraction(n, D)).  A shift orbit is its
-base word read at shifted offsets.  ``observables(sys)`` yields the kind's
-fixed dense observable family, on which the weak-* metric of ``measures`` is
-built.  The Space also holds the scalar metric, the vectorized distance
-kernel, point (de)serialization, CSV columns and the near-pair draw.  The
-public functions look the space up from ``sys.space_kind``.
+methods (circle and union share ``_rotation_numerators``, where a row of Z
+costs one multiply-add); their floats are n / D by Python-int true
+division, which is correctly rounded and so equals float(Fraction(n, D)).
+A shift orbit is its base word read at shifted offsets.
+``observables(sys)`` yields the kind's fixed dense observable family, on
+which the weak-* metric of ``measures`` is built.  The Space also holds the
+scalar metric, the vectorized distance kernel, point (de)serialization, CSV
+columns and the near-pair draw.  The public functions look the space up
+from ``sys.space_kind``.
 
 Payloads, and the observable families (1-based index i), per space kind:
   circle    exact Fraction in [0, 1), arc metric min(|u-v|, 1-|u-v|);
@@ -441,6 +443,21 @@ def _common_denominator(*values: Fraction) -> tuple[int, list[int]]:
     return D, [v.numerator * (D // v.denominator) for v in values]
 
 
+def _rotation_numerators(
+    x: Fraction, steps: Sequence[Fraction], rows: Sequence
+) -> tuple[int, list[int]]:
+    """D and the numerators over D of x + sum g_i steps_i mod 1, for each row g.
+
+    D is the common denominator of x and the steps.  A one-coordinate row (an
+    element of Z) costs one multiply-add.
+    """
+    D, (a, *s) = _common_denominator(x, *steps)
+    if len(s) == 1:
+        (b,) = s
+        return D, [(a + g * b) % D for (g,) in rows]
+    return D, [(a + sum(map(operator.mul, g, s))) % D for g in rows]
+
+
 class Space:
     """Everything one space kind knows; each method takes the system first.
 
@@ -477,18 +494,13 @@ class Space:
 class _Circle(Space):
     kind = "circle"
 
-    def _numerators(self, sys, x, rows):
-        # x + sum g_i alpha_i mod 1 in integer numerators over one denominator
-        D, (a, *steps) = _common_denominator(x.payload, *sys.param("alphas"))
-        return D, [(a + sum(map(operator.mul, g, steps))) % D for g in rows]
-
     def orbit(self, sys, x, rows):
-        D, numerators = self._numerators(sys, x, rows)
+        D, numerators = _rotation_numerators(x.payload, sys.param("alphas"), rows)
         return [SystemPoint(sys.system_id, Fraction(n, D)) for n in numerators]
 
     def orbit_coords(self, sys, x, rows, tol):
         # int / int is correctly rounded, so n / D == float(Fraction(n, D))
-        D, numerators = self._numerators(sys, x, rows)
+        D, numerators = _rotation_numerators(x.payload, sys.param("alphas"), rows)
         return np.array([n / D for n in numerators], dtype=np.float64)
 
     def metric(self, sys, x, y, tol):
@@ -757,8 +769,7 @@ class _Union(Space):
         # the component's rotation, in integer numerators over one denominator
         tag, value = x.payload
         alpha = sys.param("alpha_a") if tag == "a" else sys.param("alpha_b")
-        D, (v, a) = _common_denominator(value, alpha)
-        return tag, D, [(v + n * a) % D for (n,) in rows]
+        return (tag, *_rotation_numerators(value, (alpha,), rows))
 
     def orbit(self, sys, x, rows):
         tag, D, numerators = self._numerators(sys, x, rows)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .measures import EmpiricalMeasure
-from .systems import _coords, _kernel_matrix
+from .systems import _kernel_matrix
 
 __all__ = [
     "CostMatrix",
@@ -221,8 +221,7 @@ def orbit_cost_matrix(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float
 ) -> CostMatrix:
     """Entries d(atom_i of mu, atom_j of nu) with per-entry error <= tol."""
-    U, V = (_coords(mu.system, m.atoms, tol) for m in (mu, nu))
-    return _cost_matrix(mu, nu, U, V)
+    return _cost_matrix(mu, nu, mu._coords(tol), nu._coords(tol))
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> CostMatrix:
@@ -233,8 +232,12 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> CostMatrix
 
 def _w1_side(mu: EmpiricalMeasure, tol: float) -> tuple[EmpiricalMeasure, str, object]:
     """One side of a W1 solve: the measure, its canonical sort key, and its
-    atoms' coordinates at the per-entry tol tol/n; built once per measure."""
-    return mu, _atom_sort_key(mu), _coords(mu.system, mu.atoms, tol / mu.count)
+    atoms' coordinates at the per-entry tol tol/n; built once per measure.
+
+    The key reads the atoms; the coordinates of an orbit piece come from its
+    ``orbit_coords``, equal bit for bit to the atoms' ``coords``.
+    """
+    return mu, _atom_sort_key(mu), mu._coords(tol / mu.count)
 
 
 def _w1(a: tuple, b: tuple) -> float:

@@ -1,8 +1,8 @@
 """Acceptance gate: eleven pinned criteria, one pass/fail line each under -v.
 
 Each criterion is a single test with its tolerances written out literally;
-nothing here may be loosened to make a run green.  Solver JIT warm-up happens
-in a fixture so the timed criteria measure the solves themselves.
+nothing here may be loosened to make a run green.  A fixture solves one 4x4
+matrix before the timed criteria run.
 """
 
 import json
@@ -23,7 +23,7 @@ ROT = fl.rotation("golden")
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_solver():
-    # compile/caching pass so timing criteria see steady-state performance
+    # solves one 4x4 matrix before the timed criteria
     fl.assignment_min(fl.CostMatrix(np.random.default_rng(0).random((4, 4))))
 
 

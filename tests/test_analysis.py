@@ -873,15 +873,19 @@ def test_shift_mean_distance_reads_each_index_at_its_own_tol():
 
 def test_unique_ergodicity_converts_each_measure_once(monkeypatch):
     calls = []
-    coords = fl.systems._coords
+    coords, orbit_coords = fl.measures._coords, fl.measures._orbit_coords
 
     def counting(sys_obj, points, tol):
         calls.append(len(points))
         return coords(sys_obj, points, tol)
 
-    # the vectorized distances reach _coords through both modules
-    monkeypatch.setattr(fl.systems, "_coords", counting)
-    monkeypatch.setattr(fl.transport, "_coords", counting)
+    def orbit_counting(sys_obj, x, rows, tol):
+        calls.append(len(rows))
+        return orbit_coords(sys_obj, x, rows, tol)
+
+    # W1 reads a measure's coordinates through the measure, in either form
+    monkeypatch.setattr(fl.measures, "_coords", counting)
+    monkeypatch.setattr(fl.measures, "_orbit_coords", orbit_counting)
     points = [cpoint(Fraction(k, 5)) for k in range(5)]
     F = fl.z_intervals().subset(64)
     report = fl.unique_ergodicity_diagnostic(GOLDEN, points, fl.z_intervals(), 64)

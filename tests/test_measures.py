@@ -540,3 +540,152 @@ def test_integrate_matches_written_out_family_formulas_bitwise(sys_obj):
             f = fam.observable(i)
             values = [family_value(sys_obj, i, a) for a in mu.atoms]
             assert fl.integrate(mu, f) == math.fsum(values) / mu.count, f.name
+
+
+# ---------------------------------------------------------------------------
+# orbit-piece measures against their point-list copies
+
+
+# coordinates past int64 reach the action as Python ints
+HUGE_Z = fl.explicit_sequence([fl.FiniteSubset.from_coords(
+    "Z", [[2**70], [-3], [-(2**70)], [5], [0]], sort=False)])
+
+
+def orbit_piece_cases():
+    cases = []
+    z_systems = [
+        fl.rotation("golden"),
+        fl.full_shift(),
+        fl.two_rotations(),
+        fl.interval_square(),
+        fl.product_system(fl.rotation("golden")),
+        fl.product_system(fl.full_shift()),
+    ]
+    for s in z_systems:
+        for seq, n in ((fl.z_intervals(), 9), (fl.z_intervals("right"), 9), (HUGE_Z, 1)):
+            cases.append(pytest.param(s, seq, n, id=f"{s.system_id}-{seq.kind}-{n}"))
+    for s, seq, n in (
+        (fl.zd_rotation(["golden", "1/7"]), fl.zd_boxes(2), 2),
+        (fl.product_system(fl.zd_rotation(["golden", "1/7"])), fl.zd_boxes(2), 1),
+        (fl.heisenberg_rotation(), fl.heisenberg_boxes(), 1),
+        (fl.product_system(fl.heisenberg_rotation()), fl.heisenberg_boxes(), 1),
+    ):
+        cases.append(pytest.param(s, seq, n, id=f"{s.system_id}-{seq.kind}-{n}"))
+    return cases
+
+
+def test_orbit_piece_cases_cover_every_space_kind():
+    kinds = {p.values[0].space_kind for p in orbit_piece_cases()}
+    assert kinds == set(fl.systems._SPACES)
+    products = {p.values[0].system_id for p in orbit_piece_cases()
+                if p.values[0].space_kind == "product"}
+    assert len(products) == 4
+
+
+def _point_list(sys_obj, x, F, origin):
+    """The point-list measure of x over F, its atoms acted by orbit_sample."""
+    return fl.EmpiricalMeasure(sys_obj, tuple(fl.orbit_sample(sys_obj, x, F)), origin)
+
+
+def _readings(mu, nu, terms):
+    """Every value read from a pair of measures that needs no atom of an orbit piece."""
+    return [
+        mu.count, mu.origin, mu.weight,
+        [repr(fl.integrate(mu, f)) for f in terms],
+        repr(fl.integrate(mu, lambda p: len(repr(p.payload)) / 7.0)),
+        repr(fl.rho_distance(mu, nu, N=len(terms))),
+    ]
+
+
+@pytest.mark.parametrize("sys_obj, seq, n", orbit_piece_cases())
+def test_orbit_piece_measures_equal_their_point_lists_bitwise(sys_obj, seq, n):
+    F = seq.subset(n)
+    rng = random.Random(29)
+    family = observable_family(sys_obj)
+    terms = [family.observable(i) for i in range(1, 13)]
+    for _ in range(2):
+        x, y = random_point(rng, sys_obj), random_point(rng, sys_obj)
+        mu, nu = (fl.empirical_measure(sys_obj, p, F) for p in (x, y))
+        # read from the orbit pieces before any of their atoms is built
+        from_orbit = _readings(mu, nu, terms)
+        w = [repr(fl.wasserstein_empirical(mu, nu, tol)) for tol in (1e-3, 1e-9)]
+        listed_mu, listed_nu = _point_list(sys_obj, x, F, mu.origin), _point_list(
+            sys_obj, y, F, nu.origin
+        )
+        assert _readings(listed_mu, listed_nu, terms) == from_orbit
+        assert [repr(fl.wasserstein_empirical(listed_mu, listed_nu, tol))
+                for tol in (1e-3, 1e-9)] == w
+        assert repr(fl.wasserstein_empirical(listed_nu, mu)) == w[1]
+        assert mu.atoms == listed_mu.atoms
+        assert mu == listed_mu and listed_mu == mu and not mu != listed_mu
+        assert hash(mu) == hash(listed_mu)
+        assert repr(mu) == repr(listed_mu)
+        reversed_mu = fl.EmpiricalMeasure(sys_obj, listed_mu.atoms[::-1], mu.origin)
+        assert (mu == reversed_mu) == (mu.atoms == reversed_mu.atoms)
+        fresh = fl.empirical_measure(sys_obj, y, F)
+        assert repr(fresh) == repr(listed_nu)
+        assert len({fresh, listed_nu, nu}) == 1
+
+
+def test_orbit_piece_measures_are_frozen():
+    sys_obj, (mu,) = rotation_measures([5])
+    for name in ("atoms", "system", "origin", "count"):
+        with pytest.raises(AttributeError):
+            setattr(mu, name, None)
+    with pytest.raises(AttributeError):
+        del mu.origin
+    listed = fl.EmpiricalMeasure(sys_obj, mu.atoms, mu.origin)
+    with pytest.raises(AttributeError):
+        listed.atoms = ()
+    assert listed == mu
+
+
+def _count_orbit_calls(monkeypatch):
+    calls = []
+    for space in fl.systems._SPACES.values():
+        def counting(self, s, x, rows, orbit=type(space).orbit):
+            calls.append(s.space_kind)
+            return orbit(self, s, x, rows)
+
+        monkeypatch.setattr(type(space), "orbit", counting)
+    return calls
+
+
+GOLDEN_ROT = fl.rotation("golden")
+
+
+def _trace_cases():
+    heis = fl.heisenberg_rotation("2/9", "golden")
+    un = fl.two_rotations()
+    sh = fl.full_shift()
+    iv = fl.interval_square()
+    cases = [
+        (GOLDEN_ROT, fl.circle_point(GOLDEN_ROT, Fraction(1, 7)), fl.z_intervals(), [5, 20]),
+        (heis, fl.torus_point(heis, [Fraction(1, 3), 0]), fl.heisenberg_boxes(), [1, 2]),
+        (un, fl.union_point(un, "b", Fraction(1, 4)), fl.z_intervals("right"), [4, 16]),
+        (sh, fl.shift_point(sh, fl.RandomWord(4)), fl.z_intervals(), [3, 12]),
+        (iv, fl.interval_point(iv, 0.5), fl.z_intervals("right"), [3, 12]),
+        (fl.product_system(GOLDEN_ROT),
+         fl.pair_point(fl.product_system(GOLDEN_ROT), fl.circle_point(GOLDEN_ROT, 0),
+                       fl.circle_point(GOLDEN_ROT, Fraction(1, 3))),
+         fl.z_intervals(), [2, 8]),
+    ]
+    return [pytest.param(*case, id=case[0].space_kind) for case in cases]
+
+
+@pytest.mark.parametrize("sys_obj, x, seq, indices", _trace_cases())
+def test_generic_trace_and_birkhoff_act_out_no_orbit(sys_obj, x, seq, indices,
+                                                      monkeypatch):
+    calls = _count_orbit_calls(monkeypatch)
+    trace = fl.generic_measure_trace(sys_obj, x, seq, indices, N=12)
+    assert len(trace.consecutive_rho) == len(indices) - 1
+    assert trace.cauchy_defect >= 0.0
+    assert [mu.count for mu in trace.measures] == [seq.subset(n).size for n in indices]
+    f = fl.observable_family(sys_obj).observable(2)
+    fl.birkhoff_average(sys_obj, f, x, seq.subset(indices[-1]))
+    assert calls == []
+    # reading a traced measure's atoms acts its orbit piece, once
+    atoms = trace.measures[-1].atoms
+    assert calls.count(sys_obj.space_kind) == 1
+    assert list(atoms) == fl.orbit_sample(sys_obj, x, seq.subset(indices[-1]))
+    assert trace.measures[-1].atoms is atoms

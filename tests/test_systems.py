@@ -653,6 +653,69 @@ def test_orbit_coords_equal_coords_of_the_orbit_bitwise(sys_obj, seq, n):
             assert _same_coords(space.orbit_coords(sys_obj, x, rows, tol), reference)
 
 
+# ---------------------------------------------------------------------------
+# the rotation numerators that circle and union orbits share
+
+
+def _numerator_rows(rank, rng):
+    """A box of Z^rank, random rows, and rows holding +-2^70."""
+    big = 2**70
+    if rank == 1:
+        rows = [[k] for k in range(-60, 61)] + [[big], [-big], [big + 1], [1 - 2 * big]]
+    else:
+        rows = [[a, b] for a in range(-6, 7) for b in range(-6, 7)]
+        rows += [[big, -3], [-big, big], [5, -big - 1], [big, big]]
+    return rows + [[rng.randint(-10**6, 10**6) for _ in range(rank)] for _ in range(40)]
+
+
+def _written_out(x, steps, rows):
+    """D and (a + sum g_i s_i) % D, with a and s_i the numerators over D."""
+    D = math.lcm(x.denominator, *(t.denominator for t in steps))
+    a = x.numerator * (D // x.denominator)
+    s = [t.numerator * (D // t.denominator) for t in steps]
+    return D, [(a + sum(gi * si for gi, si in zip(g, s))) % D for g in rows]
+
+
+@pytest.mark.parametrize(
+    "sys_obj",
+    [
+        fl.rotation("golden"),
+        fl.rotation("3/10"),
+        fl.zd_rotation(["golden", "1/7"]),
+        fl.two_rotations("golden", "2/11"),
+    ],
+    ids=lambda s: s.system_id,
+)
+def test_rotation_numerators_equal_the_written_out_sum(sys_obj):
+    rng = random.Random(37)
+    space = fl.systems.space_of(sys_obj)
+    rows = _numerator_rows(fl.group_rank(sys_obj.group_id), rng)
+    union = sys_obj.space_kind == "union"
+    for _ in range(4):
+        # 48-bit dyadic points put D far past 2^53
+        value = Fraction(rng.getrandbits(48), 1 << 48)
+        if union:
+            tag = rng.choice("ab")
+            x = fl.union_point(sys_obj, tag, value)
+            steps = (sys_obj.param(f"alpha_{tag}"),)
+        else:
+            x = fl.circle_point(sys_obj, value)
+            steps = sys_obj.param("alphas")
+        D, expected = _written_out(value, steps, rows)
+        assert fl.systems._rotation_numerators(value, steps, rows) == (D, expected)
+        points = [(value + sum(gi * t for gi, t in zip(g, steps))) % 1 for g in rows]
+        assert points == [Fraction(m, D) for m in expected]
+        orbit = [p.payload for p in space.orbit(sys_obj, x, rows)]
+        floats = space.orbit_coords(sys_obj, x, rows, 1e-9)
+        if union:
+            assert orbit == [(tag, p) for p in points]
+            tags, floats = floats
+            assert tags.tolist() == [0 if tag == "a" else 1] * len(rows)
+        else:
+            assert orbit == points
+        assert floats.tolist() == [float(p) for p in points]
+
+
 STRIP_WORDS = [
     fl.RandomWord(7),
     fl.SturmianWord(fl.GOLDEN_ALPHA, Fraction(1, 9)),
