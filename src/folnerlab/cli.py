@@ -628,6 +628,28 @@ def _suite_assignment_oracle() -> list[_Check]:
             f"cost {res.cost}",
         )
     )
+    # constant matrices take the solver's shortcut; one ulp off runs the loop
+    worst = 0.0
+    exact = True
+    for n in range(2, 9):
+        for c in (0.0, 0.1, 1.0, 3.7e5):
+            M = np.full((n, n), c)
+            off = M.copy()
+            off[tuple(rng.integers(0, n, size=2))] = np.nextafter(c, np.inf)
+            for C in (transport.CostMatrix(M), transport.CostMatrix(off)):
+                gap = transport.assignment_min(C).cost - transport.bruteforce_min(C).cost
+                worst = max(worst, abs(gap))
+            res = transport.assignment_min(transport.CostMatrix(M))
+            u = np.asarray(res.row_potentials)
+            v = np.asarray(res.col_potentials)
+            exact = exact and bool(np.all(M - u[:, None] - v[None, :] == 0.0))
+    checks.append(
+        _Check(
+            "constant and one-ulp-off matrices n=2..8 match brute force",
+            worst <= 1e-12 and exact,
+            f"max gap {worst:.2e}, constant reduced costs exactly 0: {exact}",
+        )
+    )
     return checks
 
 

@@ -549,10 +549,11 @@ class _Torus(Space):
         # coordinate i moves by g_i * alpha_i; later group coordinates act trivially
         d = len(x.payload)
         D, numerators = _common_denominator(*x.payload, *sys.param("alphas"))
-        pairs = tuple(zip(numerators[:d], numerators[d:]))
-        return D, [
-            tuple((c + gi * b) % D for (c, b), gi in zip(pairs, g)) for g in rows
+        columns = [
+            [(c + g[i] * b) % D for g in rows]
+            for i, (c, b) in enumerate(zip(numerators[:d], numerators[d:]))
         ]
+        return D, list(zip(*columns))
 
     def orbit(self, sys, x, rows):
         D, numerators = self._numerators(sys, x, rows)

@@ -4,7 +4,10 @@ For two uniform measures with n atoms each, every transport plan is a doubly
 stochastic matrix and the extreme points of those are the permutation
 matrices, so the optimum is attained at an assignment.  The solver is a
 primal-dual shortest-augmenting-path method, O(n^3), returning dual
-potentials as an optimality certificate.
+potentials as an optimality certificate.  A constant matrix (cross-component
+pairs of a disjoint union, orbit pieces of fixed points) skips the loop: it
+returns the identity matching and the potentials the loop would, bit for
+bit, and those leave every reduced cost exactly 0.
 """
 
 from __future__ import annotations
@@ -166,11 +169,24 @@ def _assignment_core(cost, n):
 
 
 def assignment_min(C: CostMatrix) -> AssignmentResult:
-    """Globally optimal assignment; ties resolved arbitrarily, cost unique."""
+    """Globally optimal assignment; the cost is unique, the matching is the
+    loop's pick among ties.
+
+    On a constant matrix (every entry == c, so -0.0 and 0.0 alike) every
+    matching is optimal and the loop is skipped: the result is the identity
+    matching with row potentials 0.0 + c and column potentials 0.0, which is
+    what the loop returns there, bit for bit.
+    """
     n = C.n
     if n > _MAX_SOLVER_SIZE:
         raise SizeLimitError(f"solver supports n <= {_MAX_SOLVER_SIZE}, got {n}")
-    link, u, v = _assignment_core(C.entries, n)
+    c = C.entries[0, 0]
+    if np.all(C.entries == c):
+        # the loop's row i: its first round adds c to u[i], every later delta
+        # is 0.0, and the path ends at column i; 0.0 + c turns -0.0 into 0.0
+        link, u, v = np.arange(n), np.zeros(n) + c, np.zeros(n)
+    else:
+        link, u, v = _assignment_core(C.entries, n)
     row_for_col = tuple(int(r) for r in link)
     cost = math.fsum(C.entries[row_for_col[j], j] for j in range(n)) / n
     return AssignmentResult(row_for_col, cost, tuple(u.tolist()), tuple(v.tolist()))

@@ -107,6 +107,113 @@ def test_duals_certify_optimality():
 
 
 # ---------------------------------------------------------------------------
+# constant matrices skip the loop
+
+
+CONSTANTS = (0.0, -0.0, "mixed", 5e-324, 1e-300, 0.1, 0.30000000000000004, 1.0, 3.7e5)
+
+
+def constant_entries(n, c):
+    if c == "mixed":
+        # zeros of both signs: == treats them as one constant
+        signs = np.random.default_rng(n).random((n, n)) < 0.5
+        return np.where(signs, -0.0, 0.0)
+    return np.full((n, n), c)
+
+
+def same_bits(xs, ys):
+    return len(xs) == len(ys) and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(xs, ys)
+    )
+
+
+def counting_core(monkeypatch):
+    calls = []
+    core = fl.transport._assignment_core
+
+    def counting(cost, n):
+        calls.append(n)
+        return core(cost, n)
+
+    monkeypatch.setattr(fl.transport, "_assignment_core", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 17])
+@pytest.mark.parametrize("c", CONSTANTS)
+def test_constant_matrix_returns_the_loops_result_bit_for_bit(n, c, monkeypatch):
+    C = fl.CostMatrix(constant_entries(n, c))
+    link, u, v = fl.transport._assignment_core(C.entries, n)
+    calls = counting_core(monkeypatch)
+    res = fl.assignment_min(C)
+    assert calls == []
+    assert res.row_for_col == tuple(int(r) for r in link) == tuple(range(n))
+    assert same_bits(res.row_potentials, u.tolist())
+    assert same_bits(res.col_potentials, v.tolist())
+    # every reduced cost is exactly 0: an exact LP-duality certificate
+    slack = C.entries - np.asarray(res.row_potentials)[:, None] - np.asarray(
+        res.col_potentials
+    )[None, :]
+    assert np.all(slack == 0.0)
+    if n <= 8:
+        assert res.cost == fl.bruteforce_min(C).cost
+
+
+@pytest.mark.parametrize("c", CONSTANTS)
+def test_one_ulp_off_constant_runs_the_loop(c, monkeypatch):
+    rng = np.random.default_rng(17)
+    calls = counting_core(monkeypatch)
+    for n in range(2, 9):
+        for toward in (np.inf, 0.0):
+            M = constant_entries(n, c)
+            i, j = (int(k) for k in rng.integers(0, n, size=2))
+            M[i, j] = np.nextafter(M[i, j], toward)
+            if M[i, j] == constant_entries(n, c)[0, 0]:
+                continue  # a zero cannot move down and stay nonnegative
+            C = fl.CostMatrix(M)
+            before = len(calls)
+            res = fl.assignment_min(C)
+            assert len(calls) == before + 1
+            # brute force ranks by a float sum, so only the cost is compared
+            assert abs(res.cost - fl.bruteforce_min(C).cost) <= 1e-12
+            assert sorted(res.row_for_col) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [1, 50, 200])
+def test_union_cross_component_pairs_skip_the_loop(n, monkeypatch):
+    un = fl.two_rotations()
+    F = fl.z_intervals().subset(n)
+    mu = fl.empirical_measure(un, fl.union_point(un, "a", Fraction(1, 5)), F)
+    nu = fl.empirical_measure(un, fl.union_point(un, "b", Fraction(1, 9)), F)
+    calls = counting_core(monkeypatch)
+    assert fl.wasserstein_empirical(mu, nu) == 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 50, 200])
+def test_interval_fixed_points_skip_the_loop(n, monkeypatch):
+    sq = fl.interval_square()
+    F = fl.z_intervals().subset(n)
+    zero = fl.empirical_measure(sq, fl.interval_point(sq, 0.0), F)
+    one = fl.empirical_measure(sq, fl.interval_point(sq, 1.0), F)
+    calls = counting_core(monkeypatch)
+    assert fl.wasserstein_empirical(zero, one) == 1.0
+    assert fl.wasserstein_empirical(one, one) == 0.0
+    assert calls == []
+
+
+def test_same_component_pair_runs_the_loop(monkeypatch):
+    un = fl.two_rotations()
+    F = fl.z_intervals().subset(50)
+    mu = fl.empirical_measure(un, fl.union_point(un, "a", Fraction(1, 5)), F)
+    nu = fl.empirical_measure(un, fl.union_point(un, "a", Fraction(1, 9)), F)
+    calls = counting_core(monkeypatch)
+    assert 0.0 < fl.wasserstein_empirical(mu, nu) < 1.0
+    assert calls == [50]
+
+
+# ---------------------------------------------------------------------------
 # matrix symmetries
 
 
