@@ -121,6 +121,19 @@ def _list_of(item: Callable[[object, str], None]) -> Callable[[object, str], Non
     return check
 
 
+def _one_of(*allowed: str) -> Callable[[object, str], None]:
+    def check(value: object, path: str) -> None:
+        _string(value, path)
+        if value not in allowed:
+            expected = " or ".join(map(repr, allowed))
+            raise ConfigError(f"expected {expected}, got {json.dumps(value)}", path)
+
+    return check
+
+
+_side = _one_of("left", "right")
+
+
 def _integer_pair(value: object, path: str) -> None:
     _require(value, (list,), "a pair of integers", path)
     if len(value) != 2:
@@ -148,12 +161,7 @@ def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
     try:
         if kind == "z_interval":
             anchor = folner.get("anchor", "left")
-            _string(anchor, "folner.anchor")
-            if anchor not in ("left", "right"):
-                raise ConfigError(
-                    f"expected 'left' or 'right', got {json.dumps(anchor)}",
-                    "folner.anchor",
-                )
+            _side(anchor, "folner.anchor")
             return groups.FolnerSequence(group_id, kind, anchor=anchor)
         if kind in ("zd_box", "heisenberg_box"):
             return groups.FolnerSequence(group_id, kind)
@@ -162,13 +170,17 @@ def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
     if kind == "explicit_list":
         if "subsets" not in folner:
             raise ConfigError("explicit_list needs 'subsets'", "folner")
-        subsets = tuple(
-            groups.FiniteSubset.from_coords(group_id, rows, sort=False)
-            for rows in folner["subsets"]
-        )
-        return groups.explicit_sequence(
-            subsets, folner.get("claimed_sides", ("left",))
-        )
+        _list_of(_list_of(_list_of(_integer)))(folner["subsets"], "folner.subsets")
+        claimed_sides = folner.get("claimed_sides", ["left"])
+        _list_of(_side)(claimed_sides, "folner.claimed_sides")
+        try:
+            subsets = tuple(
+                groups.FiniteSubset.from_coords(group_id, rows, sort=False)
+                for rows in folner["subsets"]
+            )
+            return groups.explicit_sequence(subsets, claimed_sides)
+        except ValueError as exc:  # row lengths, duplicates, empty subsets
+            raise ConfigError(str(exc), "folner.subsets") from None
     raise ConfigError(f"unknown Folner kind {kind!r}", "folner.kind")
 
 
@@ -254,10 +266,8 @@ def _op_defect_table(ctx: _RunContext, params: dict) -> _OpOutput:
             for side in sides:
                 if side == "left":
                     value = groups.folner_defect_left(F, g)
-                elif side == "right":
-                    value = groups.folner_defect_right(F, g)
                 else:
-                    raise ConfigError(f"unknown side {side!r}", "operation.params.sides")
+                    value = groups.folner_defect_right(F, g)
                 worst = max(worst, value)
                 rows.append(
                     [
@@ -449,7 +459,7 @@ _OPERATIONS: dict[str, _OpSpec] = {
     "defect_table": _OpSpec(
         _op_defect_table,
         {"elements": _list_of(_list_of(_integer))},
-        {"sides": _list_of(_string)},
+        {"sides": _list_of(_side)},
     ),
     "temperedness": _OpSpec(_op_temperedness, {"upto": _integer}),
     "tempered_extraction": _OpSpec(
@@ -475,7 +485,7 @@ _OPERATIONS: dict[str, _OpSpec] = {
     ),
     "modulus": _OpSpec(
         _op_modulus,
-        {"kind": _string, "deltas": _list_of(_number)},
+        {"kind": _one_of("wasserstein", "mean_distance"), "deltas": _list_of(_number)},
         {"pairs_per_delta": _integer, "sampler_seed": _integer},
     ),
 }
@@ -777,11 +787,13 @@ def _suite_temperedness() -> list[_Check]:
         union = {groups.multiply(a, b).coords for a in inverses for b in second}
         ratio = groups.temperedness_report(seq, 2).ratios[0]
         ok &= ratio == Fraction(len(union), second.size)
+        product = groups.product_subset(groups.invert_subset(first), second)
+        ok &= [g.coords for g in product] == sorted(union)
     checks.append(
         _Check(
-            "sparse products past the bitmap cap match a tuple-set count",
+            "sparse products past the bitmap cap match a tuple-set count and rows",
             ok,
-            "Z^2 and Heisenberg, two key tiles each",
+            "Z^2 and Heisenberg, two key tiles each; product rows in sorted order",
         )
     )
     return checks

@@ -18,20 +18,21 @@ keys are written one tile at a time, over row ranges of both A and B, into
 one int64 buffer of 64K cells (512 KB).  They are marked on a bool bitmap
 when the box has at most 2^24 cells, and otherwise kept as sorted int64
 arrays of distinct keys, one per tile, merged as they grow.  So a count
-needs its inputs, one 512 KB tile and a bitmap of at most 2^24 bytes, or
-past the bitmap cap the distinct keys themselves.  Exact Python-int bounds
+needs one 512 KB tile and a bitmap of at most 2^24 bytes, or past the
+bitmap cap the distinct keys themselves.  Exact Python-int bounds
 are checked before each int64 step (inverses, the a0*b1 corners, a box
 under 2^62 cells), so no step can wrap.  When a check fails, or a
-coordinate does not fit in int64, the products are counted as a set of
-Python-int tuples.
+coordinate does not fit in int64, the products are a set of Python-int
+tuples.  Product sets are decoded from the same keys: sorted keys give
+rows in lexicographic order, the first coordinate being the top digit.
 
 How subsets are held.  A ``FiniteSubset`` keeps one read-only array of
 coordinate rows in its enumeration order: int64, or Python ints (dtype
 object) when a coordinate does not fit.  The built-in Folner sets are made
-as arrays, translates, inverses and products are row arithmetic under the
-same int64 guards, and every count reads the rows.  ``GroupElement``
-objects are built only when something iterates the subset or reads its
-``elements``, and are then kept.
+as arrays, translates and inverses are row arithmetic under the same
+int64 guards, and every product set and count reads the rows.
+``GroupElement`` objects are built only when something iterates the subset
+or reads its ``elements``, and are then kept.
 """
 
 from __future__ import annotations
@@ -353,20 +354,12 @@ def invert_subset(F: FiniteSubset) -> FiniteSubset:
     return FiniteSubset._of_rows(F.group_id, _inv_rows(F.group_id, F.coords_array()))
 
 
-def _unique_rows(X: np.ndarray) -> np.ndarray:
-    """The distinct rows of X, sorted lexicographically."""
-    S = X[_lex_order(X)]
-    keep = np.ones(len(S), dtype=bool)
-    keep[1:] = ~(S[1:] == S[:-1]).all(axis=1)
-    return S[keep]
-
-
 def product_subset(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     """The product set A*B = {a*b}, enumerated lexicographically."""
     _check_same_group(A.group_id, B.group_id)
     gid = A.group_id
-    products = _mul_rows(gid, A.coords_array(), B.coords_array())
-    return FiniteSubset._of_rows(gid, _unique_rows(products))
+    rows = _product_rows(gid, A.coords_array(), B.coords_array())
+    return FiniteSubset._of_rows(gid, rows)
 
 
 def _identity_row(gid: str) -> np.ndarray:
@@ -377,8 +370,6 @@ def symmetric_difference_size(A: FiniteSubset, B: FiniteSubset) -> int:
     # |A sym-diff B| = 2|A union B| - |A| - |B|, and A union B is (A, B)*{e}
     _check_same_group(A.group_id, B.group_id)
     gid = A.group_id
-    if A.size + B.size == 0:
-        return 0
     both = np.vstack([A.coords_array(), B.coords_array()])
     return 2 * _product_size(gid, both, _identity_row(gid)) - A.size - B.size
 
@@ -558,19 +549,20 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
-    """|{a*b : a a row of A, b a row of B}|, counted exactly (module docstring).
+def _product_keys(gid: str, A: np.ndarray, B: np.ndarray):
+    """The distinct products a*b, a a row of A and b a row of B (module docstring).
+
+    Returns (keys, box): a bool bitmap over the box of all products, or past
+    _BITMAP_CELLS its sorted distinct int64 keys, and box = (strides, ranges,
+    lo), a key being a*b - lo in mixed radix; or (set of product tuples, None).
 
     The key of a*b is ka + kb, plus a0*b1 - min(a0*b1) in the Heisenberg
     c-column, where ka and kb pack A - min(A) and B - min(B) over the box of
     all products.  Every partial sum is nonnegative and at most the final key,
     which is below the box size, and the a0*b1 corners are checked to fit.
-    The keys are written tile by tile, over row ranges of A and of B, into
-    one buffer of at most _TILE_CELLS cells.
     """
-    rank = A.shape[1]
     c_lo = c_hi = 0
-    packable = A.dtype == np.int64 and B.dtype == np.int64
+    packable = A.dtype == np.int64 and B.dtype == np.int64 and len(A) and len(B)
     if packable:
         a_bounds, b_bounds = _column_bounds(A), _column_bounds(B)
         if gid == _HEISENBERG:
@@ -584,11 +576,11 @@ def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
         packable = packable and cells < _PACK_LIMIT
     if not packable:
         B_list = B.tolist()
-        return len({_mul_coords(gid, a, b) for a in A.tolist() for b in B_list})
+        return {_mul_coords(gid, a, b) for a in A.tolist() for b in B_list}, None
 
-    strides = np.array(
-        [math.prod(ranges[i + 1 :]) for i in range(rank)], dtype=np.int64
-    )
+    lo = [al + bl for (al, _), (bl, _) in zip(a_bounds, b_bounds)]
+    lo[-1] += c_lo
+    strides = np.array([math.prod(ranges[i + 1 :]) for i in range(len(ranges))])
     ka = (A - A.min(axis=0)) @ strides
     kb = (B - B.min(axis=0)) @ strides
     bitmap = np.zeros(cells, dtype=bool) if cells <= _BITMAP_CELLS else None
@@ -620,9 +612,26 @@ def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
             if pending >= 2 * len(sparse[0]):
                 sparse = [_distinct(np.concatenate(sparse))]
                 pending = len(sparse[0])
-    if bitmap is not None:
-        return int(np.count_nonzero(bitmap))
-    return len(_distinct(np.concatenate(sparse)))
+    keys = bitmap if bitmap is not None else _distinct(np.concatenate(sparse))
+    return keys, (strides, ranges, lo)
+
+
+def _product_size(gid: str, A: np.ndarray, B: np.ndarray) -> int:
+    """|{a*b : a a row of A, b a row of B}|, counted exactly."""
+    keys, box = _product_keys(gid, A, B)
+    return int(np.count_nonzero(keys)) if box and keys.dtype == bool else len(keys)
+
+
+def _product_rows(gid: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The distinct rows a*b in lexicographic order, which is the keys' order."""
+    keys, box = _product_keys(gid, A, B)
+    if box is None:
+        return _rows(gid, sorted(keys))
+    strides, ranges, lo = box
+    keys = np.flatnonzero(keys) if keys.dtype == bool else keys
+    fits = all(_fits(l, l + r - 1) for l, r in zip(lo, ranges))
+    X = (keys[:, None] // strides % ranges).astype(np.int64 if fits else object)
+    return X + np.array(lo, dtype=X.dtype)
 
 
 def temperedness_report(seq: FolnerSequence, upto: int) -> TemperednessReport:
@@ -687,6 +696,7 @@ def extract_tempered_subsequence(
     chosen: list[int] = [1]
     union = seq.subset(1).coords_array()
     gid = seq.group_id
+    e = _identity_row(gid)
     while len(chosen) < count:
         last = chosen[-1]
         budget = 10 * last
@@ -704,5 +714,5 @@ def extract_tempered_subsequence(
                 f"after choosing {tuple(chosen)}"
             )
         chosen.append(m)
-        union = _unique_rows(np.vstack([union, F_m.coords_array()]))
+        union = _product_rows(gid, np.vstack([union, F_m.coords_array()]), e)
     return tuple(chosen)

@@ -211,8 +211,13 @@ def bruteforce_min(C: CostMatrix) -> AssignmentResult:
     if n > _BRUTEFORCE_CAP:
         raise SizeLimitError(f"brute force is capped at n = {_BRUTEFORCE_CAP}")
     perms = _permutations_array(n)
-    totals = C.entries[perms, np.arange(n)].sum(axis=1)
-    best = perms[int(np.argmin(totals))]
+    picked = C.entries[perms, np.arange(n)]
+    totals = picked.sum(axis=1)
+    # a float sum of n nonnegative terms is within a factor 1 +- (n-1)*2^-53
+    # of the exact sum, so a pairing of least exact total has a float total
+    # within 1 + 2n*eps of the smallest one; fsum ranks those candidates
+    near = np.flatnonzero(totals <= totals.min() * (1 + 2 * n * np.finfo(float).eps))
+    best = perms[min(near.tolist(), key=lambda k: math.fsum(picked[k].tolist()))]
     row_for_col = tuple(int(r) for r in best)
     cost = math.fsum(C.entries[row_for_col[j], j] for j in range(n)) / n
     return AssignmentResult(row_for_col, cost)

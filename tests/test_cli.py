@@ -663,6 +663,44 @@ def test_bad_folner_anchor_is_a_config_error(tmp_path, anchor, line, capsys):
     assert err == f"error[ConfigError]: {line}\n"
 
 
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        (_op_config("defect_table", {"elements": [], "sides": ["up"]}),
+         "operation.params.sides[]: expected 'left' or 'right', got \"up\""),
+        (_op_config("modulus", {"kind": "foo", "deltas": [0.1]}),
+         "operation.params.kind: "
+         "expected 'wasserstein' or 'mean_distance', got \"foo\""),
+        (trace_config(folner={"kind": "explicit_list", "subsets": 3}),
+         "folner.subsets: expected a list, got 3"),
+        (trace_config(folner={"kind": "explicit_list", "subsets": [5]}),
+         "folner.subsets[]: expected a list, got 5"),
+        (trace_config(folner={"kind": "explicit_list", "subsets": [[[1], 2]]}),
+         "folner.subsets[][]: expected a list, got 2"),
+        (trace_config(folner={"kind": "explicit_list", "subsets": [[[1, 2]]]}),
+         "folner.subsets: Z element needs 1 coordinates, got 2"),
+        (trace_config(folner={"kind": "explicit_list", "subsets": [[[1]]],
+                              "claimed_sides": "left"}),
+         "folner.claimed_sides: expected a list, got \"left\""),
+        (trace_config(folner={"kind": "explicit_list", "subsets": [[[1]]],
+                              "claimed_sides": ["up"]}),
+         "folner.claimed_sides[]: expected 'left' or 'right', got \"up\""),
+    ],
+    ids=["defect-side-value", "modulus-kind-value", "subsets-int",
+         "subsets-int-list", "subset-row-int", "subset-row-length", "claimed-sides-str",
+         "claimed-sides-value"],
+)
+def test_config_values_outside_their_domain_are_config_errors(
+    config, line, tmp_path, capsys, monkeypatch
+):
+    ran = []
+    monkeypatch.setattr(folnerlab.analysis, "wasserstein_trace", lambda *a: ran.append(a))
+    cfg = write_config(tmp_path, "cfg.json", config)
+    err = expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 2, capsys)
+    assert err == f"error[ConfigError]: {line}\n"
+    assert ran == []
+
+
 def test_verify_weak_star_suite_passes(capsys):
     assert main(["verify", "weak-star", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

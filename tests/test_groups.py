@@ -787,3 +787,91 @@ def test_exact_counts_run_in_bounded_memory():
             tracemalloc.stop()
         assert report == expected
         assert peak < 2 * 2**20, (seq.kind, peak)
+
+
+# ---------------------------------------------------------------------------
+# product sets: decoded from the same keys that the counts mark
+
+
+def assert_product_rows_are_sorted_naive(gid, A, B):
+    P = fl.product_subset(
+        fl.FiniteSubset.from_coords(gid, A, sort=False),
+        fl.FiniteSubset.from_coords(gid, B, sort=False),
+    )
+    assert P.coords_array().tolist() == [
+        list(t) for t in sorted(naive_product_set(gid, A, B))
+    ]
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+def test_product_rows_on_the_bitmap_are_sorted_naive_products(gid):
+    rng = random.Random(59)
+    rank = fl.group_rank(gid)
+    for _ in range(10):
+        A, B = (
+            {tuple(rng.randint(-9, 9) for _ in range(rank))
+             for _ in range(rng.randint(1, 30))}
+            for _ in range(2)
+        )
+        assert_product_rows_are_sorted_naive(gid, A, B)
+
+
+@pytest.mark.parametrize(
+    "gid, spread", [("Z", 10**9), ("Z^2", 10**6), ("heisenberg", 10**3)]
+)
+def test_sparse_product_rows_are_sorted_naive_products(gid, spread):
+    # scattered rows put the box past the bitmap cap, and 300 x 300 products
+    # span two key tiles
+    rng = random.Random(61)
+    rank = fl.group_rank(gid)
+    A, B = (
+        {tuple(rng.randint(-spread, spread) for _ in range(rank)) for _ in range(300)}
+        for _ in range(2)
+    )
+    assert len(A) * len(B) > fl.groups._TILE_CELLS
+    A_rows, B_rows = (np.array(sorted(S), dtype=np.int64) for S in (A, B))
+    keys, _ = fl.groups._product_keys(gid, A_rows, B_rows)
+    assert keys.dtype == np.int64  # the sorted keys, not a bitmap
+    assert_product_rows_are_sorted_naive(gid, A, B)
+
+
+def test_tuple_path_product_rows_are_sorted_naive_products():
+    # a0*b1 reaches 2^66, past int64: the products are a set of tuples
+    big = 2**33
+    A = [(big, 1, 0), (-big, 2, 5), (0, 0, 0), (3, -big, 1)]
+    B = [(1, big, 0), (0, -big, 2), (0, 0, 0), (big, big, -4)]
+    A_rows, B_rows = (np.array(S, dtype=np.int64) for S in (A, B))
+    assert isinstance(fl.groups._product_keys("heisenberg", A_rows, B_rows)[0], set)
+    assert_product_rows_are_sorted_naive("heisenberg", A, B)
+    # a small box whose products pass int64 is packed, and decoded exactly
+    edge = 2**62
+    A, B = [(edge, 0), (edge + 1, 5)], [(edge, 1)]
+    A_rows, B_rows = (np.array(S, dtype=np.int64) for S in (A, B))
+    assert fl.groups._product_keys("Z^2", A_rows, B_rows)[0].dtype == bool
+    assert_product_rows_are_sorted_naive("Z^2", A, B)
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+def test_product_with_an_empty_factor_is_empty(gid):
+    empty = fl.FiniteSubset(gid, [])
+    F = fl.FiniteSubset.from_coords(gid, [(1,) * fl.group_rank(gid)])
+    for A, B in ((empty, F), (F, empty), (empty, empty)):
+        assert fl.product_subset(A, B) == empty
+    assert fl.symmetric_difference_size(empty, empty) == 0
+    assert fl.symmetric_difference_size(empty, F) == 1
+
+
+def test_heisenberg_product_set_runs_in_bounded_memory():
+    # invert(F3) * F4: 931 x 2673 products, 14163 distinct
+    seq = fl.heisenberg_boxes()
+    A, B = fl.invert_subset(seq.subset(3)), seq.subset(4)
+    tracemalloc.start()
+    try:
+        P = fl.product_subset(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.size == 14163
+    naive = naive_product_set("heisenberg", A.coord_set(), B.coord_set())
+    assert P.coords_array().tolist() == [list(t) for t in sorted(naive)]
+    assert peak < 8 * 2**20, peak

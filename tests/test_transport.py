@@ -180,6 +180,17 @@ def test_one_ulp_off_constant_runs_the_loop(c, monkeypatch):
             assert sorted(res.row_for_col) == list(range(n))
 
 
+def test_bruteforce_is_the_literal_minimum_one_ulp_below_a_constant():
+    # every float total rounds alike, so only an exact ranking sees the ulp
+    c = 0.30000000000000004
+    M = constant_entries(7, c)
+    M[2, 5] = np.nextafter(c, 0.0)
+    C = fl.CostMatrix(M)
+    brute = fl.bruteforce_min(C)
+    assert brute.cost == fl.assignment_min(C).cost == 0.3
+    assert brute.row_for_col[5] == 2
+
+
 @pytest.mark.parametrize("n", [1, 50, 200])
 def test_union_cross_component_pairs_skip_the_loop(n, monkeypatch):
     un = fl.two_rotations()
