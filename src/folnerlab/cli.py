@@ -24,13 +24,14 @@ import os
 import sys as _sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__ as VERSION
 from . import analysis, groups, measures, systems, transport
 from .errors import ConfigError, FolnerlabError, GroupMismatchError
+from .rationals import parse_rational
 
 __all__ = ["main"]
 
@@ -149,39 +150,39 @@ def _build_system(system_cfg: dict) -> systems.GSystem:
     return systems.build_system(system_cfg["name"], params)
 
 
+# the type check of each param that some Folner kind takes
+_FOLNER_PARAMS = {
+    "anchor": _side,
+    "subsets": _list_of(_list_of(_list_of(_integer))),
+    "claimed_sides": _list_of(_side),
+}
+
+
 def _build_sequence(group_id: str, folner: dict) -> groups.FolnerSequence:
-    _check_keys(
-        folner, {"kind", "anchor", "subsets", "claimed_sides"}, {"kind"}, "folner"
-    )
-    kind = folner["kind"]
+    _check_keys(folner, {"kind", *_FOLNER_PARAMS}, {"kind"}, "folner")
     try:
         groups.group_rank(group_id)
     except ValueError as exc:
         raise ConfigError(str(exc), "group") from None
+    kind = folner["kind"]
+    if not isinstance(kind, str) or kind not in groups.FOLNER_KINDS:
+        raise ConfigError(f"unknown Folner kind {kind!r}", "folner.kind")
+    spec = groups.FOLNER_KINDS[kind]
+    _check_keys(folner, {"kind", *spec.params}, set(), "folner")
+    for key in spec.required:
+        if key not in folner:
+            raise ConfigError(f"{kind} needs {key!r}", "folner")
+    params = {key: folner[key] for key in spec.params if key in folner}
+    for key, value in params.items():
+        _FOLNER_PARAMS[key](value, f"folner.{key}")
     try:
-        if kind == "z_interval":
-            anchor = folner.get("anchor", "left")
-            _side(anchor, "folner.anchor")
-            return groups.FolnerSequence(group_id, kind, anchor=anchor)
-        if kind in ("zd_box", "heisenberg_box"):
-            return groups.FolnerSequence(group_id, kind)
+        return groups.sequence_from_dict(
+            {"group": group_id, "kind": kind, "params": params}
+        )
     except GroupMismatchError as exc:
         raise ConfigError(str(exc), "folner.kind") from None
-    if kind == "explicit_list":
-        if "subsets" not in folner:
-            raise ConfigError("explicit_list needs 'subsets'", "folner")
-        _list_of(_list_of(_list_of(_integer)))(folner["subsets"], "folner.subsets")
-        claimed_sides = folner.get("claimed_sides", ["left"])
-        _list_of(_side)(claimed_sides, "folner.claimed_sides")
-        try:
-            subsets = tuple(
-                groups.FiniteSubset.from_coords(group_id, rows, sort=False)
-                for rows in folner["subsets"]
-            )
-            return groups.explicit_sequence(subsets, claimed_sides)
-        except ValueError as exc:  # row lengths, duplicates, empty subsets
-            raise ConfigError(str(exc), "folner.subsets") from None
-    raise ConfigError(f"unknown Folner kind {kind!r}", "folner.kind")
+    except ValueError as exc:  # row lengths, duplicates, empty subsets
+        raise ConfigError(str(exc), "folner.subsets") from None
 
 
 @dataclass
@@ -301,8 +302,10 @@ def _op_temperedness(ctx: _RunContext, params: dict) -> _OpOutput:
 
 
 def _op_tempered_extraction(ctx: _RunContext, params: dict) -> _OpOutput:
+    # str() keeps a JSON 0.1 meaning 1/10
+    constant = parse_rational(str(params["constant"]))
     indices = groups.extract_tempered_subsequence(
-        ctx.require_seq(), Fraction(str(params["constant"])), params["count"]
+        ctx.require_seq(), constant, params["count"]
     )
     return _OpOutput(
         summary={"indices": list(indices)},
@@ -491,10 +494,15 @@ _OPERATIONS: dict[str, _OpSpec] = {
 }
 
 
+def _reject_constant(name: str) -> None:
+    # json.load would read NaN, Infinity and -Infinity, which JSON lacks, as floats
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -983,24 +991,14 @@ _SUITES: dict[str, Callable[[], list[_Check]]] = {
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     entries = systems.catalog()
-    folner_kinds = {
-        "z_interval": "integer intervals; anchor left {0..n-1} or right {-n+1..0}",
-        "zd_box": "cubes [-n, n]^d in Z^d",
-        "heisenberg_box": "Heisenberg boxes |a|,|b| <= n, |c| <= n^2",
-        "explicit_list": "user-supplied subsets",
-    }
+    folner_kinds = {name: k.description for name, k in groups.FOLNER_KINDS.items()}
     if args.json:
         payload = {
             "systems": {
                 name: {
                     "summary": e.summary,
                     "params": {k: v for k, v in e.param_schema},
-                    "expected": {
-                        "uniquely_ergodic": e.expected.uniquely_ergodic,
-                        "mean_equicontinuous": e.expected.mean_equicontinuous,
-                        "weak_mean_equicontinuous": e.expected.weak_mean_equicontinuous,
-                        "full_measure_center": e.expected.full_measure_center,
-                    },
+                    "expected": asdict(e.expected),
                 }
                 for name, e in sorted(entries.items())
             },
@@ -1074,7 +1072,10 @@ def _parse_coords(text: str) -> tuple[int, ...]:
 
 
 def _group_context(args: argparse.Namespace) -> _RunContext:
-    seq = _build_sequence(args.group, {"kind": args.kind, "anchor": args.anchor})
+    folner = {"kind": args.kind}
+    if args.anchor is not None:
+        folner["anchor"] = args.anchor
+    seq = _build_sequence(args.group, folner)
     return _RunContext(None, seq, None, 0, dict(_DEFAULT_TOLERANCES))
 
 
@@ -1199,7 +1200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect", help="exact averaging-set defect")
     p.add_argument("--group", default="Z")
     p.add_argument("--kind", default="z_interval")
-    p.add_argument("--anchor", default="left", choices=("left", "right"))
+    p.add_argument("--anchor", default=None, choices=("left", "right"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", required=True, help="comma-separated coordinates")
     p.add_argument("--side", default="both", choices=("left", "right", "both"))
@@ -1209,7 +1210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tempered", help="temperedness report and extraction")
     p.add_argument("--group", default="Z")
     p.add_argument("--kind", default="z_interval")
-    p.add_argument("--anchor", default="left", choices=("left", "right"))
+    p.add_argument("--anchor", default=None, choices=("left", "right"))
     p.add_argument("--upto", type=int, required=True)
     p.add_argument("--extract", type=int, default=0, help="subsequence length")
     p.add_argument("--constant", default="2", help="temperedness constant")

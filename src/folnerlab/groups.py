@@ -29,10 +29,10 @@ rows in lexicographic order, the first coordinate being the top digit.
 How subsets are held.  A ``FiniteSubset`` keeps one read-only array of
 coordinate rows in its enumeration order: int64, or Python ints (dtype
 object) when a coordinate does not fit.  The built-in Folner sets are made
-as arrays, translates and inverses are row arithmetic under the same
-int64 guards, and every product set and count reads the rows.
-``GroupElement`` objects are built only when something iterates the subset
-or reads its ``elements``, and are then kept.
+as arrays, translates follow the element law on Python ints, inverses and
+products use the int64 guards above, and every product set and count reads
+the rows.  ``GroupElement`` objects are built only when something iterates
+the subset or reads its ``elements``, and are then kept.
 """
 
 from __future__ import annotations
@@ -223,28 +223,6 @@ def _inv_rows(gid: str, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mul_rows(gid: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rows a*b, a over the rows of A (slowest) and b over those of B.
-
-    int64 only where no step can wrap: the column sums, and for the
-    Heisenberg group the a0*b1 corners and the c-column sum.
-    """
-    fits = A.dtype == np.int64 and B.dtype == np.int64
-    if fits and len(A) and len(B):
-        a_bounds, b_bounds = _column_bounds(A), _column_bounds(B)
-        sums = [(al + bl, ah + bh) for (al, ah), (bl, bh) in zip(a_bounds, b_bounds)]
-        fits = all(_fits(lo, hi) for lo, hi in sums)
-        if fits and gid == _HEISENBERG:
-            ab_lo, ab_hi = _product_range(a_bounds[0], b_bounds[1])
-            fits = _fits(ab_lo, ab_hi) and _fits(sums[2][0] + ab_lo, sums[2][1] + ab_hi)
-    if not fits:
-        A, B = A.astype(object), B.astype(object)
-    out = A[:, None, :] + B[None, :, :]
-    if gid == _HEISENBERG:
-        out[:, :, 2] += np.multiply.outer(A[:, 0], B[:, 1])
-    return out.reshape(-1, A.shape[1])
-
-
 class FiniteSubset:
     """A finite subset of a group with a fixed enumeration order.
 
@@ -337,16 +315,16 @@ def translate_left(g: GroupElement, F: FiniteSubset) -> FiniteSubset:
     """The subset g*F, in F's enumeration order."""
     _check_same_group(g.group_id, F.group_id)
     gid = F.group_id
-    rows = _mul_rows(gid, _rows(gid, [g.coords]), F.coords_array())
-    return FiniteSubset._of_rows(gid, rows)
+    rows = [_mul_coords(gid, g.coords, f) for f in F.coords_array().tolist()]
+    return FiniteSubset._of_rows(gid, _rows(gid, rows))
 
 
 def translate_right(F: FiniteSubset, g: GroupElement) -> FiniteSubset:
     """The subset F*g, in F's enumeration order."""
     _check_same_group(g.group_id, F.group_id)
     gid = F.group_id
-    rows = _mul_rows(gid, F.coords_array(), _rows(gid, [g.coords]))
-    return FiniteSubset._of_rows(gid, rows)
+    rows = [_mul_coords(gid, f, g.coords) for f in F.coords_array().tolist()]
+    return FiniteSubset._of_rows(gid, _rows(gid, rows))
 
 
 def invert_subset(F: FiniteSubset) -> FiniteSubset:
@@ -402,16 +380,35 @@ def folner_defect_right(F: FiniteSubset, g: GroupElement) -> Fraction:
 
 
 @dataclass(frozen=True)
+class FolnerKind:
+    """A Folner kind's catalog line, the params it takes and those it needs."""
+
+    description: str
+    params: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+
+
+FOLNER_KINDS: dict[str, FolnerKind] = {
+    "z_interval": FolnerKind(
+        "integer intervals; anchor left {0..n-1} or right {-n+1..0}", ("anchor",)
+    ),
+    "zd_box": FolnerKind("cubes [-n, n]^d in Z^d"),
+    "heisenberg_box": FolnerKind("Heisenberg boxes |a|,|b| <= n, |c| <= n^2"),
+    "explicit_list": FolnerKind(
+        "user-supplied subsets", ("subsets", "claimed_sides"), ("subsets",)
+    ),
+}
+
+
+@dataclass(frozen=True)
 class FolnerSequence:
     """An indexed family of finite subsets, 1-based.
 
-    Kinds: ``z_interval`` (integers; anchor "left" gives {0..n-1}, anchor
-    "right" gives {-n+1..0}), ``zd_box`` (the cube [-n, n]^d),
-    ``heisenberg_box`` (|a| <= n, |b| <= n, |c| <= n^2) and
-    ``explicit_list`` (user-supplied subsets).  A built-in kind over another
-    group raises ``GroupMismatchError``.  ``claimed_sides`` records on
-    which side the averaging property is claimed; the claim is metadata,
-    validated numerically through the defect operations.
+    The kind is a key of ``FOLNER_KINDS``, which describes each one.  A
+    built-in kind over another group raises ``GroupMismatchError``.
+    ``claimed_sides`` records on which side the averaging property is
+    claimed; the claim is metadata, validated numerically through the defect
+    operations.
     """
 
     group_id: str
@@ -422,7 +419,8 @@ class FolnerSequence:
 
     def __post_init__(self) -> None:
         group_rank(self.group_id)  # raises ValueError for an unknown tag
-        if self.kind not in ("z_interval", "zd_box", "heisenberg_box", "explicit_list"):
+        # compared by ==, so an unhashable kind is reported like any other
+        if self.kind not in tuple(FOLNER_KINDS):
             raise ValueError(f"unknown Folner kind {self.kind!r}")
         if self.kind == "z_interval" and self.group_id != "Z":
             raise GroupMismatchError(

@@ -213,7 +213,7 @@ def integrate(
     observables are exact to float rounding, and the sum is ``math.fsum``,
     correctly rounded.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     return _integrals(mu._reader(), _everywhere(mu.count), [f])[0][0]
 

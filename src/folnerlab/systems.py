@@ -970,7 +970,7 @@ def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> f
     Algebraic payloads are exact to float roundoff (far below any sensible
     tol); for shift systems the tol picks the symbol-comparison depth.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     _check_point(sys, x)
     _check_point(sys, y)
@@ -978,7 +978,7 @@ def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> f
 
 
 def _coords(sys: GSystem, points: Sequence[SystemPoint], tol: float):
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     for p in points:
         _check_point(sys, p)
@@ -987,7 +987,7 @@ def _coords(sys: GSystem, points: Sequence[SystemPoint], tol: float):
 
 def _orbit_coords(sys: GSystem, x: SystemPoint, rows: Sequence, tol: float):
     """_coords of the orbit g*x for the coordinate rows g, read from x and the rows."""
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     _check_point(sys, x)
     return space_of(sys).orbit_coords(sys, x, rows, tol)

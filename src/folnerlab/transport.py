@@ -44,7 +44,6 @@ class CostMatrix:
     """Nonnegative square cost matrix; entries[i][j] = cost of pairing i with j."""
 
     entries: np.ndarray
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         a = np.asarray(self.entries, dtype=np.float64)
@@ -242,13 +241,7 @@ def orbit_cost_matrix(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float
 ) -> CostMatrix:
     """Entries d(atom_i of mu, atom_j of nu) with per-entry error <= tol."""
-    return _cost_matrix(mu, nu, mu._coords(tol), nu._coords(tol))
-
-
-def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, U, V) -> CostMatrix:
-    """The cost matrix between mu and nu from their atoms' coordinates U and V."""
-    D = _kernel_matrix(mu.system, U, V)
-    return CostMatrix(D, provenance=(mu.origin[0], nu.origin[0], mu.origin[1]))
+    return CostMatrix(_kernel_matrix(mu.system, mu._coords(tol), nu._coords(tol)))
 
 
 def _w1_side(mu: EmpiricalMeasure, tol: float) -> tuple[EmpiricalMeasure, str, object]:
@@ -269,8 +262,8 @@ def _w1(a: tuple, b: tuple) -> float:
     """
     if b[1] < a[1]:
         a, b = b, a
-    (mu, _, U), (nu, _, V) = a, b
-    return assignment_min(_cost_matrix(mu, nu, U, V)).cost
+    (mu, _, U), (_, _, V) = a, b
+    return assignment_min(CostMatrix(_kernel_matrix(mu.system, U, V))).cost
 
 
 def wasserstein_empirical(

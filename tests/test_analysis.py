@@ -896,3 +896,11 @@ def test_unique_ergodicity_converts_each_measure_once(monkeypatch):
     for i, j, w, _ in report.pair_rows:
         assert repr(w) == repr(fl.wasserstein_empirical(measures[i], measures[j]))
         assert repr(w) == repr(fl.wasserstein_empirical(measures[j], measures[i]))
+
+
+def test_mean_distance_trace_rejects_a_nan_tolerance():
+    shift = fl.full_shift()
+    x, y = (fl.shift_point(shift, fl.RandomWord(seed)) for seed in (1, 2))
+    for sys_obj, a, b in ((shift, x, y), (GOLDEN, cpoint(0), cpoint(Fraction(1, 3)))):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fl.mean_distance_trace(sys_obj, a, b, fl.z_intervals(), [3, 5], math.nan)

@@ -706,3 +706,89 @@ def test_verify_weak_star_suite_passes(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["suite"] == "weak-star"
     assert [c["passed"] for c in payload["checks"]] == [True] * 6
+
+
+# ---------------------------------------------------------------------------
+# Folner keys belong to their kind; NaN and p/0 values are rejected
+
+
+# each kind's keys besides "kind", with a value each key accepts
+_KIND_KEYS = {
+    "z_interval": {"anchor": "left"},
+    "zd_box": {},
+    "heisenberg_box": {},
+    "explicit_list": {"subsets": [[[0]]], "claimed_sides": ["left"]},
+}
+_FOREIGN_KEYS = [
+    (kind, key, value)
+    for kind, own in _KIND_KEYS.items()
+    for keys in _KIND_KEYS.values()
+    for key, value in keys.items()
+    if key not in own
+]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value", _FOREIGN_KEYS, ids=[f"{k}-{key}" for k, key, _ in _FOREIGN_KEYS]
+)
+def test_folner_keys_of_another_kind_are_config_errors(
+    kind, key, value, tmp_path, capsys, monkeypatch
+):
+    ran = []
+    monkeypatch.setattr(folnerlab.analysis, "wasserstein_trace", lambda *a: ran.append(a))
+    config = trace_config(folner={"kind": kind, **_KIND_KEYS[kind], key: value})
+    if kind == "heisenberg_box":
+        config["system"] = {"name": "heisenberg_rotation"}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    err = expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 2, capsys)
+    assert err == f"error[ConfigError]: folner.{key}: unknown key {key!r}\n"
+    assert ran == []
+
+
+def test_defect_anchor_on_a_box_is_a_config_error(capsys):
+    argv = ["defect", "--group", "Z^2", "--kind", "zd_box", "--anchor", "right",
+            "--n", "3", "--g", "1,0"]
+    err = expect_exit(argv, 2, capsys)
+    assert err == "error[ConfigError]: folner.anchor: unknown key 'anchor'\n"
+
+
+def test_tempered_anchor_right_keeps_its_ratios(capsys):
+    assert main(["tempered", "--anchor", "right", "--upto", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n=2 ratio=1", "n=3 ratio=4/3", "n=4 ratio=3/2", "constant=3/2",
+    ]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_config_nan_and_infinity_are_not_json(constant, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(trace_config(tolerances={"metric": 1e-9}))
+    path.write_text(text.replace("1e-09", constant), encoding="utf-8")
+    err = expect_exit(["run", "--config", str(path)], 2, capsys)
+    assert err == (
+        f"error[ConfigError]: config is not valid JSON: {constant} is not a JSON number\n"
+    )
+
+
+_RANDOM_WORDS = ["--x", '{"kind":"random","seed":1}', "--y", '{"kind":"random","seed":2}']
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["wdist", "--system", "rotation", "--params", '{"alpha": "1/0"}',
+          "--x", "0", "--y", "1/3", "--n", "4"], "'1/0' is not a finite rational number"),
+        (["wdist", "--system", "rotation", "--x", "1/0", "--y", "1/3", "--n", "4"],
+         "'1/0' is not a finite rational number"),
+        (["tempered", "--upto", "3", "--extract", "2", "--constant", "1/0"],
+         "'1/0' is not a finite rational number"),
+        (["trace", "--system", "full_shift", *_RANDOM_WORDS, "--indices", "3,5",
+          "--tol", "nan"], "tol must be positive"),
+    ],
+    ids=["alpha-1/0", "x-1/0", "constant-1/0", "trace-tol-nan"],
+)
+def test_bad_values_exit_1_with_one_error_line(argv, line, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error[ValueError]: {line}\n"
+    assert captured.out == ""

@@ -689,3 +689,12 @@ def test_generic_trace_and_birkhoff_act_out_no_orbit(sys_obj, x, seq, indices,
     assert calls.count(sys_obj.space_kind) == 1
     assert list(atoms) == fl.orbit_sample(sys_obj, x, seq.subset(indices[-1]))
     assert trace.measures[-1].atoms is atoms
+
+
+def test_integrate_rejects_a_nan_tolerance():
+    sys_obj = fl.rotation("golden")
+    x = fl.circle_point(sys_obj, 0)
+    mu = fl.empirical_measure(sys_obj, x, fl.z_intervals().subset(4))
+    f = observable_family(sys_obj).observable(1)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fl.integrate(mu, f, math.nan)

@@ -797,3 +797,22 @@ def test_shift_point_lists_read_each_symbol(monkeypatch):
             got = fl.systems.space_of(sh).coords(sh, points, tol)
             assert got.dtype == np.int8 and got.tolist() == expected
     assert strips == []
+
+
+def test_metric_rejects_a_nan_tolerance():
+    # a NaN tol would pass a "tol <= 0" check and pick symbol depth 1
+    shift = fl.full_shift()
+    x, y = (fl.shift_point(shift, fl.RandomWord(seed)) for seed in (1, 2))
+    circle = fl.rotation("golden")
+    a, b = fl.circle_point(circle, 0), fl.circle_point(circle, "1/3")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fl.metric(shift, x, y, math.nan)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fl.metric(circle, a, b, math.nan)
+
+
+@pytest.mark.parametrize("value", ["1/0", " 3/0 ", math.inf, -math.inf, math.nan])
+def test_parse_rational_names_values_that_are_not_finite_rationals(value):
+    with pytest.raises(ValueError) as raised:
+        fl.parse_rational(value)
+    assert str(raised.value) == f"{value!r} is not a finite rational number"

@@ -450,3 +450,14 @@ def test_cost_matrix_csv_round_trip(tmp_path):
         fl.cost_matrix_to_csv(C, path)
         back = fl.cost_matrix_from_csv(path)
         assert np.array_equal(back.entries, C.entries)
+
+
+def test_wasserstein_rejects_a_nan_tolerance():
+    shift = fl.full_shift()
+    F = fl.z_intervals().subset(8)
+    mu, nu = (
+        fl.empirical_measure(shift, fl.shift_point(shift, fl.RandomWord(seed)), F)
+        for seed in (1, 2)
+    )
+    with pytest.raises(ValueError, match="tol must be positive"):
+        fl.wasserstein_empirical(mu, nu, math.nan)
