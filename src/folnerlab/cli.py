@@ -668,6 +668,32 @@ def _suite_assignment_oracle() -> list[_Check]:
             f"max gap {worst:.2e}, constant reduced costs exactly 0: {exact}",
         )
     )
+    # tie-heavy entries make most solver rounds zero-delta ones; the
+    # potentials stay integers, so the dual certificate holds exactly
+    worst = 0.0
+    exact = True
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        M = rng.choice(np.array([0.0, -0.0, 1.0, 2.0]), size=(n, n))
+        C = transport.CostMatrix(M)
+        res = transport.assignment_min(C)
+        worst = max(worst, abs(res.cost - transport.bruteforce_min(C).cost))
+        slack = M - np.asarray(res.row_potentials)[:, None] - np.asarray(
+            res.col_potentials
+        )[None, :]
+        exact = (
+            exact
+            and bool(np.all(slack >= 0.0))
+            and bool(np.all(slack[list(res.row_for_col), range(n)] == 0.0))
+        )
+    checks.append(
+        _Check(
+            "tie-heavy {0, -0, 1, 2} matrices n=2..8 match brute force",
+            worst <= 1e-12 and exact,
+            f"max gap {worst:.2e} over 200 trials, reduced costs exactly >= 0"
+            f" and exactly 0 on the matching: {exact}",
+        )
+    )
     return checks
 
 

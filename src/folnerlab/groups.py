@@ -44,7 +44,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError, SearchBudgetExceededError, UnsupportedCaseError
+from .errors import (
+    ConfigError,
+    GroupMismatchError,
+    SearchBudgetExceededError,
+    UnsupportedCaseError,
+)
 
 __all__ = [
     "GroupElement",
@@ -503,9 +508,22 @@ def sequence_to_dict(seq: FolnerSequence) -> dict:
 
 
 def sequence_from_dict(data: dict) -> FolnerSequence:
+    """The sequence ``sequence_to_dict`` describes.
+
+    A missing ``group``, ``kind`` or required param raises ``ConfigError``
+    naming its key path; an unknown kind raises ``ValueError``.
+    """
+    for key in ("group", "kind"):
+        if key not in data:
+            raise ConfigError(f"missing key {key!r}", key)
     group_id = data["group"]
     kind = data["kind"]
     params = data.get("params", {})
+    if kind not in tuple(FOLNER_KINDS):  # compared by ==, as FolnerSequence does
+        raise ValueError(f"unknown Folner kind {kind!r}")
+    for key in FOLNER_KINDS[kind].required:
+        if key not in params:
+            raise ConfigError(f"{kind} needs {key!r}", f"params.{key}")
     if kind == "z_interval":
         return FolnerSequence(group_id, kind, anchor=params.get("anchor", "left"))
     if kind in ("zd_box", "heisenberg_box"):

@@ -7,7 +7,9 @@ primal-dual shortest-augmenting-path method, O(n^3), returning dual
 potentials as an optimality certificate.  A constant matrix (cross-component
 pairs of a disjoint union, orbit pieces of fixed points) skips the loop: it
 returns the identity matching and the potentials the loop would, bit for
-bit, and those leave every reduced cost exactly 0.
+bit, and those leave every reduced cost exactly 0.  A round whose delta is 0
+skips the potential pass, which is exact because adding or subtracting 0.0
+leaves every potential's bits unchanged.
 """
 
 from __future__ import annotations
@@ -140,23 +142,27 @@ def _assignment_core(cost, n):
         while True:
             used[j0] = True
             i0 = link[j0]
+            row, ui0 = cost[i0], u[i0]
             delta = INF
             j1 = -1
             for j in range(n):
                 if not used[j]:
-                    cur = cost[i0, j] - u[i0] - v[j]
+                    cur = row[j] - ui0 - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[link[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            # u and v are never -0.0, so a zero delta leaves their bits as they
+            # are; minv's sign of zero is only ever compared
+            if delta != 0.0:
+                for j in range(n + 1):
+                    if used[j]:
+                        u[link[j]] += delta
+                        v[j] -= delta
+                    else:
+                        minv[j] -= delta
             j0 = j1
             if link[j0] == -1:
                 break

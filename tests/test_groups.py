@@ -714,6 +714,30 @@ def test_folner_sequence_rejects_unknown_group_tags(group_id, kind, message):
         fl.sequence_from_dict({"group": group_id, "kind": kind, "params": {"subsets": []}})
 
 
+@pytest.mark.parametrize(
+    "data, key_path",
+    [
+        ({"kind": "z_interval"}, "group"),
+        ({"group": "Z"}, "kind"),
+        ({}, "group"),
+        ({"group": "Z", "kind": "explicit_list"}, "params.subsets"),
+        ({"group": "Z", "kind": "explicit_list", "params": {}}, "params.subsets"),
+    ],
+)
+def test_sequence_from_dict_names_a_missing_key(data, key_path):
+    with pytest.raises(fl.ConfigError) as raised:
+        fl.sequence_from_dict(data)
+    assert raised.value.key_path == key_path
+    assert str(raised.value).startswith(f"{key_path}: ")
+
+
+@pytest.mark.parametrize("kind", ["nope", ["z_interval"], None])
+def test_sequence_from_dict_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError) as raised:
+        fl.sequence_from_dict({"group": "Z", "kind": kind})
+    assert str(raised.value) == f"unknown Folner kind {kind!r}"
+
+
 # ---------------------------------------------------------------------------
 # key tiles: product keys are formed in one buffer of _TILE_CELLS cells
 

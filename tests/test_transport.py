@@ -461,3 +461,111 @@ def test_wasserstein_rejects_a_nan_tolerance():
     )
     with pytest.raises(ValueError, match="tol must be positive"):
         fl.wasserstein_empirical(mu, nu, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# the loop against a frozen reference copy
+
+
+def reference_core(cost, n, zero_rounds=None):
+    """The solver loop with a potential pass in every round, zero delta or
+    not; appends each round's ``delta == 0.0`` to zero_rounds when given."""
+    INF = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    link = np.full(n + 1, -1, dtype=np.int64)
+    minv = np.empty(n + 1)
+    way = np.empty(n + 1, dtype=np.int64)
+    used = np.empty(n + 1, dtype=np.bool_)
+    for i in range(n):
+        link[n] = i
+        j0 = n
+        for j in range(n + 1):
+            minv[j] = INF
+            way[j] = n
+            used[j] = False
+        while True:
+            used[j0] = True
+            i0 = link[j0]
+            delta = INF
+            j1 = -1
+            for j in range(n):
+                if not used[j]:
+                    cur = cost[i0, j] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            if zero_rounds is not None:
+                zero_rounds.append(delta == 0.0)
+            for j in range(n + 1):
+                if used[j]:
+                    u[link[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if link[j0] == -1:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            link[j0] = link[j1]
+            j0 = j1
+    return link[:n], u[:n], v[:n]
+
+
+def assert_core_matches_reference(M, zero_rounds=None):
+    C = fl.CostMatrix(M)
+    link, u, v = fl.transport._assignment_core(C.entries, C.n)
+    ref_link, ref_u, ref_v = reference_core(C.entries, C.n, zero_rounds)
+    assert link.tolist() == ref_link.tolist()
+    assert same_bits(u.tolist(), ref_u.tolist())
+    assert same_bits(v.tolist(), ref_v.tolist())
+
+
+@pytest.mark.parametrize("style", ["continuous", "012", "signed_zeros"])
+def test_core_matches_reference_bit_for_bit(style):
+    rng = np.random.default_rng(20)
+    for n in range(1, 41):
+        if style == "continuous":
+            M = rng.random((n, n))
+        elif style == "012":
+            M = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        else:
+            # zeros of both signs among a few ones: mostly zero-delta rounds
+            M = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+            M[rng.random((n, n)) < 0.2] = 1.0
+        assert_core_matches_reference(M)
+
+
+def product_measures(factor, points, n):
+    prod = fl.product_system(factor)
+    F = fl.z_intervals().subset(n)
+    return [
+        fl.empirical_measure(prod, fl.pair_point(prod, x, y), F)
+        for x, y in (points[:2], points[2:])
+    ]
+
+
+def test_core_matches_reference_on_a_rotation_product():
+    rot = fl.rotation("golden")
+    rng = random.Random(56)
+    points = [
+        fl.circle_point(rot, Fraction(rng.getrandbits(32), 1 << 32)) for _ in range(4)
+    ]
+    mu, nu = product_measures(rot, points, 56)
+    zero_rounds = []
+    assert_core_matches_reference(
+        fl.orbit_cost_matrix(mu, nu, 1e-9).entries, zero_rounds
+    )
+    # most rounds there have delta 0, so the skip is what is compared
+    assert sum(zero_rounds) > len(zero_rounds) / 2
+
+
+def test_core_matches_reference_on_a_shift_product():
+    sh = fl.full_shift()
+    points = [fl.shift_point(sh, fl.RandomWord(seed)) for seed in (7, 8, 9, 10)]
+    mu, nu = product_measures(sh, points, 66)
+    assert_core_matches_reference(fl.orbit_cost_matrix(mu, nu, 1e-6).entries)
