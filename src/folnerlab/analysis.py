@@ -30,12 +30,10 @@ from .measures import (
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _check_subset, _orbit_coords, _orbit_reader, metric,
-    pair_point, space_of,
+    GSystem, SystemPoint, _check_point, _check_subset, _orbit_coords, _orbit_reader,
+    metric, pair_point, space_of,
 )
-from .transport import (
-    _w1, _w1_side, assignment_min, orbit_cost_matrix, wasserstein_empirical
-)
+from .transport import _w1, _w1_side, wasserstein_empirical
 
 __all__ = [
     "PseudometricTrace",
@@ -116,37 +114,6 @@ class PseudometricTrace:
         return header, rows
 
 
-def _mean_distances(
-    sys: GSystem,
-    subsets: Sequence[FiniteSubset],
-    xs: Sequence[Sequence[SystemPoint]],
-    ys: Sequence[Sequence[SystemPoint]],
-    tol: float,
-) -> tuple[float, ...]:
-    """(1/|F|) * fsum of d(a, b) over the paired atoms a of xs[k], b of ys[k].
-
-    The atoms of index k are g*x and g*y for the rows g of subsets[k], in
-    order.  Each distance is evaluated once per row, from the largest subset
-    down, and kept by row; fsum is exactly rounded, so the order of the
-    terms does not matter.  A metric that reads its tol (a shift's symbol
-    depth) gets the per-entry tol tol/|F| of each index, so its values are
-    not shared between indices.
-    """
-    shared = not space_of(sys).reads_tol(sys)
-    dist: dict[tuple[int, ...], float] = {}
-    values = []
-    for F, atoms_x, atoms_y in zip(reversed(subsets), reversed(xs), reversed(ys)):
-        if not shared:
-            dist = {}
-        per_entry = tol / F.size
-        rows = _rows(F)
-        for g, a, b in zip(rows, atoms_x, atoms_y):
-            if g not in dist:
-                dist[g] = metric(sys, a, b, per_entry)
-        values.append(math.fsum(dist[g] for g in rows) / F.size)
-    return tuple(values[::-1])
-
-
 def wasserstein_trace(
     sys: GSystem,
     x: SystemPoint,
@@ -209,12 +176,12 @@ def orbit_permutation_distance(
 ) -> float:
     """min over pairings h of (1/|F|) * sum d(g*x, h(g)*y).
 
-    By the doubly-stochastic extreme-point argument this equals the
-    Wasserstein distance of the two empirical measures.
+    By the doubly-stochastic extreme-point argument this is the Wasserstein
+    distance of the two empirical measures, and it is computed as that.
     """
-    mu = empirical_measure(sys, x, F)
-    nu = empirical_measure(sys, y, F)
-    return assignment_min(orbit_cost_matrix(mu, nu, tol / F.size)).cost
+    return wasserstein_empirical(
+        empirical_measure(sys, x, F), empirical_measure(sys, y, F), tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +283,17 @@ def coupling_bounds_check(
 ) -> CouplingBoundsReport:
     """Evaluate both coupling bounds on pairs of product-system points.
 
-    sys must be a product system.  The diagonal mean is computed through the
-    scalar metric, independently of the cost matrices fed to the solver, so
-    the two sides of each inequality come from separate code paths.
+    sys must be a product system.  The diagonal and base means are
+    mean_distance_trace values, so they and the solver's cost matrices all
+    come from Space.kernel on orbit coords; the scalar metric, which the
+    kernel equals bit for bit, is their oracle in the tests and in
+    ``verify weak-star``.
     """
     if sys.space_kind != "product":
         raise UnsupportedCaseError("coupling_bounds_check needs a product system")
+    for pair in pairs:
+        for z in pair:
+            _check_point(sys, z)
     base = sys.factors[0]
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
@@ -332,12 +304,8 @@ def coupling_bounds_check(
             [empirical_measure(sys, z, F) for F in subsets]
             for z in (z1, z2, pair_point(sys, y1, y1))
         )
-        diagonal_means = _mean_distances(
-            sys, subsets, [mu.atoms for mu in mus1], [mu.atoms for mu in mus2], tol
-        )
-        lefts = [[a.payload[0] for a in mu.atoms] for mu in mus1]
-        rights = [[a.payload[1] for a in mu.atoms] for mu in mus1]
-        base_means = _mean_distances(base, subsets, lefts, rights, tol)
+        diagonal_means = mean_distance_trace(sys, z1, z2, seq, indices, tol).values
+        base_means = mean_distance_trace(base, *z1.payload, seq, indices, tol).values
         for n, mu1, mu2, mu_diag, diagonal_mean, base_mean in zip(
             indices, mus1, mus2, mus_diag, diagonal_means, base_means
         ):
@@ -413,6 +381,8 @@ def modulus_estimate(
     deltas = sorted(float(d) for d in delta_grid)
     if not deltas:
         raise ValueError("delta grid must be nonempty")
+    if pairs_per_delta < 1:
+        raise ValueError("pairs_per_delta must be positive")
     trace_fn = wasserstein_trace if kind == "wasserstein" else mean_distance_trace
     sup_values = []
     pooled_sup = 0.0

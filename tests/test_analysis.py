@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import folnerlab as fl
-from folnerlab import FolnerlabError, UnsupportedCaseError
+from folnerlab import FolnerlabError, SystemMismatchError, UnsupportedCaseError
 
 
 GOLDEN = fl.rotation("golden")
@@ -147,18 +147,28 @@ def test_orbit_permutation_distance_matches_bruteforce_pairing():
 
 
 def test_orbit_permutation_distance_equals_wasserstein():
+    # bit for bit and in both orders, on rotation, shift and product orbits
     rng = random.Random(3)
+    cases = []
     for _ in range(10):
         n = rng.randint(1, 30)
         x = cpoint(Fraction(rng.getrandbits(16), 1 << 16))
         y = cpoint(Fraction(rng.getrandbits(16), 1 << 16))
+        cases.append((GOLDEN, x, y, n, 1e-9))
+    sh, prod = fl.full_shift(), fl.product_system(GOLDEN)
+    for n in (1, 7, 24):
+        cases.append((sh, fl.shift_point(sh, fl.RandomWord(5)),
+                      fl.shift_point(sh, fl.RandomWord(105)), n, 1e-4))
+        cases.append((prod, fl.pair_point(prod, cpoint(Fraction(1, 5)), cpoint(0)),
+                      fl.pair_point(prod, cpoint(Fraction(1, 9)), cpoint(Fraction(3, 4))),
+                      n, 1e-9))
+    for sys_obj, x, y, n, tol in cases:
         F = fl.z_intervals().subset(n)
-        mu = fl.empirical_measure(GOLDEN, x, F)
-        nu = fl.empirical_measure(GOLDEN, y, F)
-        assert abs(
-            fl.orbit_permutation_distance(GOLDEN, x, y, F)
-            - fl.wasserstein_empirical(mu, nu)
-        ) <= 1e-10
+        mu = fl.empirical_measure(sys_obj, x, F)
+        nu = fl.empirical_measure(sys_obj, y, F)
+        w = repr(fl.wasserstein_empirical(mu, nu, tol))
+        assert repr(fl.orbit_permutation_distance(sys_obj, x, y, F, tol)) == w
+        assert repr(fl.orbit_permutation_distance(sys_obj, y, x, F, tol)) == w
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +262,16 @@ def test_coupling_bounds_requires_product_system():
         fl.coupling_bounds_check(GOLDEN, [], fl.z_intervals(), [4])
 
 
+@pytest.mark.parametrize("foreign", [0, 1], ids=["z1", "z2"])
+def test_coupling_bounds_rejects_a_point_of_another_system(foreign):
+    prod = fl.product_system(GOLDEN)
+    z = fl.pair_point(prod, cpoint(0), cpoint(Fraction(1, 4)))
+    pair = [z, z]
+    pair[foreign] = cpoint(Fraction(1, 3))
+    with pytest.raises(SystemMismatchError):
+        fl.coupling_bounds_check(prod, [(z, z), tuple(pair)], fl.z_intervals(), [4])
+
+
 def test_coupling_bounds_report_tables():
     prod = fl.product_system(GOLDEN)
     z1 = fl.pair_point(prod, cpoint(0), cpoint(Fraction(1, 4)))
@@ -322,6 +342,16 @@ def test_modulus_validation():
         fl.modulus_estimate(GOLDEN, "wobbly", fl.z_intervals(), [0.1], sampler, [4])
     with pytest.raises(ValueError):
         fl.modulus_estimate(GOLDEN, "wasserstein", fl.z_intervals(), [], sampler, [4])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_modulus_needs_a_positive_pair_count(count):
+    # no samples would read as a zero sup, that is as "equicontinuous"
+    sampler = fl.near_pair_sampler(GOLDEN, 1)
+    with pytest.raises(ValueError, match="pairs_per_delta must be positive"):
+        fl.modulus_estimate(
+            GOLDEN, "wasserstein", fl.z_intervals(), [0.1], sampler, [4], count
+        )
 
 
 @pytest.mark.parametrize(
@@ -703,42 +733,65 @@ def test_uniform_convergence_checks_every_pair_before_averaging():
 
 
 SHIFT = fl.full_shift()
+ZD = fl.zd_rotation(["1/3", "golden"])
+HEIS = fl.heisenberg_rotation("2/9", "golden")
+UNION = fl.two_rotations()
+INTERVAL = fl.interval_square()
 
 
 @pytest.mark.parametrize(
-    "base, points, calls",
+    "base, points, seq, indices, reads",
     [
-        (GOLDEN, (cpoint(0), cpoint(Fraction(1, 3))), 40),
+        # one union pass per point: the kernel does not read its tol
+        (GOLDEN, (cpoint(0), cpoint(Fraction(1, 3))), fl.z_intervals(), [10, 20, 40],
+         [40, 40]),
         # a shift metric reads its tol, so each index keeps its own tol/|F|
         (SHIFT, (fl.shift_point(SHIFT, fl.RandomWord(3)),
-                 fl.shift_point(SHIFT, fl.RandomWord(4))), 10 + 20 + 40),
+                 fl.shift_point(SHIFT, fl.RandomWord(4))),
+         fl.z_intervals(), [10, 20, 40], [10, 10, 20, 20, 40, 40]),
+        (ZD, (fl.circle_point(ZD, 0), fl.circle_point(ZD, Fraction(1, 7))),
+         fl.zd_boxes(2), [1, 2], [25, 25]),
+        (HEIS, (fl.torus_point(HEIS, [0, 0]), fl.torus_point(HEIS, ["1/3", "1/5"])),
+         fl.heisenberg_boxes(), [1, 2], [225, 225]),
+        # a cross-component pair
+        (UNION, (fl.union_point(UNION, "a", 0), fl.union_point(UNION, "b", Fraction(1, 3))),
+         fl.z_intervals(), [5, 10, 20], [20, 20]),
+        # 1 is a fixed point of the map
+        (INTERVAL, (fl.interval_point(INTERVAL, 1.0), fl.interval_point(INTERVAL, 0.3)),
+         fl.z_intervals(), [5, 10, 20], [20, 20]),
     ],
-    ids=["rotation", "shift"],
+    ids=["rotation", "shift", "zd_rotation", "heisenberg_rotation", "two_rotations",
+         "interval_square"],
 )
-def test_coupling_base_means_evaluate_each_row_once(base, points, calls, monkeypatch):
+def test_coupling_base_means_evaluate_each_row_once(
+    base, points, seq, indices, reads, monkeypatch
+):
     P = fl.product_system(base)
     x, y = points
-    seq, indices, tol = fl.z_intervals(), [10, 20, 40], 1e-6
+    tol = 1e-6
     seen = []
-    metric = fl.analysis.metric
+    orbit_coords = fl.analysis._orbit_coords
 
-    def counting(sys_obj, a, b, tol=1e-9):
+    def counting(sys_obj, p, rows, tol):
         if sys_obj is base:
-            seen.append(tol)
-        return metric(sys_obj, a, b, tol)
+            seen.append(len(rows))
+        return orbit_coords(sys_obj, p, rows, tol)
 
-    monkeypatch.setattr(fl.analysis, "metric", counting)
+    monkeypatch.setattr(fl.analysis, "_orbit_coords", counting)
     z1, z2 = fl.pair_point(P, x, y), fl.pair_point(P, y, x)
     report = fl.coupling_bounds_check(P, [(z1, z2)], seq, indices, tol)
     monkeypatch.undo()
-    assert len(seen) == calls
+    assert seen == reads
     for row in report.rows:
         F = seq.subset(row.n)
-        gx, gy = fl.orbit_sample(base, x, F), fl.orbit_sample(base, y, F)
-        expected = math.fsum(
-            fl.metric(base, a, b, tol / F.size) for a, b in zip(gx, gy)
-        ) / F.size
-        assert repr(row.base_mean) == repr(expected)
+        for sys_obj, (a, b), mean in (
+            (base, (x, y), row.base_mean), (P, (z1, z2), row.diagonal_mean)
+        ):
+            ga, gb = fl.orbit_sample(sys_obj, a, F), fl.orbit_sample(sys_obj, b, F)
+            expected = math.fsum(
+                fl.metric(sys_obj, u, v, tol / F.size) for u, v in zip(ga, gb)
+            ) / F.size
+            assert repr(mean) == repr(expected)
 
 
 def test_diagnostics_build_no_group_elements(monkeypatch):

@@ -317,6 +317,16 @@ def test_runtime_domain_error_exits_1(tmp_path, capsys):
     expect_exit(["run", "--config", cfg], 1, capsys, "error[ValueError]")
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_modulus_without_pairs_exits_1(tmp_path, capsys, count):
+    config = _op_config(
+        "modulus", {"kind": "wasserstein", "deltas": [0.1], "pairs_per_delta": count}
+    )
+    cfg = write_config(tmp_path, "cfg.json", config)
+    err = expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 1, capsys)
+    assert err == "error[ValueError]: pairs_per_delta must be positive\n"
+
+
 def test_unreadable_or_invalid_config(tmp_path, capsys):
     expect_exit(
         ["run", "--config", str(tmp_path / "missing.json")], 2, capsys,
