@@ -30,10 +30,10 @@ from .measures import (
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _check_point, _check_subset, _orbit_coords, _orbit_reader,
-    metric, pair_point, space_of,
+    GSystem, SystemPoint, _at, _check_point, _check_subset, _orbit_coords,
+    _orbit_reader, metric, pair_point, space_of,
 )
-from .transport import _w1, _w1_side, wasserstein_empirical
+from .transport import _w1, wasserstein_empirical
 
 __all__ = [
     "PseudometricTrace",
@@ -96,6 +96,30 @@ def _union_rows(
     return list(index), positions[::-1]
 
 
+def _coords_along(sys: GSystem, points: Sequence[SystemPoint], subsets, tol) -> list:
+    """out[k][i]: the coords of points[i]'s orbit over subsets[k] at tol/|F_k|.
+
+    A space whose coords do not depend on the tol reads each point once, over
+    the union of the subsets, and slices that orbit per subset.
+    """
+    if not space_of(sys).reads_tol(sys):
+        rows, positions = _union_rows(sys, subsets)
+        orbits = [_orbit_coords(sys, p, rows, tol) for p in points]
+        return [[_at(U, pos) for U in orbits] for pos in positions]
+    # a shift's symbol depth: each index reads its points together at tol/|F|
+    out = []
+    for F in subsets:
+        rows, _ = _union_rows(sys, [F])
+        out.append([_orbit_coords(sys, p, rows, tol / F.size) for p in points])
+    return out
+
+
+def _mean_distance(sys: GSystem, U, V) -> float:
+    """(1/n) * fsum of the kernel over n paired coordinates."""
+    d = space_of(sys).kernel(sys, U, V)
+    return math.fsum(d.tolist()) / len(d)
+
+
 @dataclass(frozen=True)
 class PseudometricTrace:
     """Finite trace n -> value of a pseudometric estimate."""
@@ -124,12 +148,8 @@ def wasserstein_trace(
 ) -> PseudometricTrace:
     """values[k] = W(empirical(x, F_{n_k}), empirical(y, F_{n_k}))."""
     indices = _check_indices(indices)
-    subsets = [seq.subset(n) for n in indices]
-    values = tuple(
-        wasserstein_empirical(*(empirical_measure(sys, p, F) for p in (x, y)), tol)
-        for F in subsets
-    )
-    return PseudometricTrace("wasserstein", indices, values)
+    along = _coords_along(sys, [x, y], [seq.subset(n) for n in indices], tol)
+    return PseudometricTrace("wasserstein", indices, tuple(_w1(sys, *c) for c in along))
 
 
 def mean_distance_trace(
@@ -148,27 +168,9 @@ def mean_distance_trace(
     metric over the atoms.
     """
     indices = _check_indices(indices)
-    subsets = [seq.subset(n) for n in indices]
-    space = space_of(sys)
-
-    def means(rows, positions, per_entry):
-        d = space.kernel(
-            sys,
-            _orbit_coords(sys, x, rows, per_entry),
-            _orbit_coords(sys, y, rows, per_entry),
-        )
-        return [math.fsum(d[pos].tolist()) / len(pos) for pos in positions]
-
-    if not space.reads_tol(sys):
-        # the kernel's value does not depend on the tol: one pass over the union
-        values = means(*_union_rows(sys, subsets), tol)
-    else:
-        # a shift's symbol depth: each index reads its coords at tol/|F|
-        values = []
-        for F in subsets:
-            rows, positions = _union_rows(sys, [F])
-            values += means(rows, positions, tol / F.size)
-    return PseudometricTrace("mean_distance", indices, tuple(values))
+    along = _coords_along(sys, [x, y], [seq.subset(n) for n in indices], tol)
+    values = tuple(_mean_distance(sys, *c) for c in along)
+    return PseudometricTrace("mean_distance", indices, values)
 
 
 def orbit_permutation_distance(
@@ -283,14 +285,16 @@ def coupling_bounds_check(
 ) -> CouplingBoundsReport:
     """Evaluate both coupling bounds on pairs of product-system points.
 
-    sys must be a product system.  The diagonal and base means are
-    mean_distance_trace values, so they and the solver's cost matrices all
-    come from Space.kernel on orbit coords; the scalar metric, which the
-    kernel equals bit for bit, is their oracle in the tests and in
-    ``verify weak-star``.
+    sys must be a product system.  An index's two W1s and two means come from
+    the coords that the traces read, so they equal ``wasserstein_empirical``
+    and ``mean_distance_trace`` values bit for bit, all from Space.kernel; the
+    scalar metric, which the kernel equals bit for bit, is their oracle in
+    the tests and in ``verify weak-star``.
     """
     if sys.space_kind != "product":
         raise UnsupportedCaseError("coupling_bounds_check needs a product system")
+    if not pairs:
+        raise ValueError("need at least one pair")
     for pair in pairs:
         for z in pair:
             _check_point(sys, z)
@@ -299,21 +303,17 @@ def coupling_bounds_check(
     subsets = [seq.subset(n) for n in indices]
     rows = []
     for pi, (z1, z2) in enumerate(pairs):
-        _, y1 = z1.payload
-        mus1, mus2, mus_diag = (
-            [empirical_measure(sys, z, F) for F in subsets]
-            for z in (z1, z2, pair_point(sys, y1, y1))
-        )
-        diagonal_means = mean_distance_trace(sys, z1, z2, seq, indices, tol).values
-        base_means = mean_distance_trace(base, *z1.payload, seq, indices, tol).values
-        for n, mu1, mu2, mu_diag, diagonal_mean, base_mean in zip(
-            indices, mus1, mus2, mus_diag, diagonal_means, base_means
+        x1, y1 = z1.payload
+        diagonal = pair_point(sys, y1, y1)
+        for n, (Z1, Z2, D), (X1, Y1) in zip(
+            indices,
+            _coords_along(sys, [z1, z2, diagonal], subsets, tol),
+            _coords_along(base, [x1, y1], subsets, tol),
         ):
-            w_product = wasserstein_empirical(mu1, mu2, tol)
-            w_to_diagonal = wasserstein_empirical(mu1, mu_diag, tol)
             rows.append(
                 CouplingBoundsRow(
-                    pi, n, w_product, diagonal_mean, w_to_diagonal, base_mean
+                    pi, n, _w1(sys, Z1, Z2), _mean_distance(sys, Z1, Z2),
+                    _w1(sys, Z1, D), _mean_distance(base, X1, Y1),
                 )
             )
     return CouplingBoundsReport(tuple(rows), tol)
@@ -401,11 +401,8 @@ def modulus_estimate(
 def _integrated(
     readers: Sequence, F: FiniteSubset, family: ObservableFamily, N: int
 ) -> tuple[list[Observable], list[list[float]]]:
-    """rho's N terms, and their integrals over each reader's orbit over F.
-
-    A lone orbit has no pair to compare, so N is not checked for it.
-    """
-    terms = _rho_terms(family, N) if len(readers) > 1 else []
+    """rho's N terms, and their integrals over each reader's orbit over F."""
+    terms = _rho_terms(family, N)
     everywhere = _everywhere(F.size)
     return terms, [_integrals(read, everywhere, terms)[0] for read in readers]
 
@@ -458,22 +455,22 @@ def unique_ergodicity_diagnostic(
     Verdict "consistent with unique ergodicity at scale n" means every pair
     sits at or below the threshold in both metrics.
     """
-    if not points:
-        raise ValueError("need at least one sample point")
+    if len(points) < 2:
+        raise ValueError("need at least two sample points")
     if family is None:
         family = observable_family(sys)
     F = seq.subset(n)
     measures = [empirical_measure(sys, p, F) for p in points]
     readers = [mu._reader() for mu in measures]
     terms, integrals = _integrated(readers, F, family, N)
-    # each measure's sort key and coords once, for all its pairs
-    sides = [_w1_side(mu, tol) for mu in measures] if len(points) > 1 else []
+    # each measure's coords once, for all its pairs
+    coords = [mu._coords(tol / F.size) for mu in measures]
     rows = []
     max_w = 0.0
     max_rho = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            w = _w1(sides[i], sides[j])
+            w = _w1(sys, coords[i], coords[j])
             rho = _rho_sum(terms, integrals[i], integrals[j])
             max_w = max(max_w, w)
             max_rho = max(max_rho, rho)
@@ -563,11 +560,12 @@ def measure_map_continuity_diagnostic(
     N: int = 40,
     tol: float = 1e-9,
 ) -> ContinuityReport:
+    if len(grid) < 2:
+        raise ValueError("need at least two grid points")
     if family is None:
         family = observable_family(sys)
     F = seq.subset(n)
-    if grid:  # the group check empirical_measure makes
-        _check_subset(sys, F)
+    _check_subset(sys, F)
     orbit = _rows(F)
     readers = [_orbit_reader(sys, p, orbit) for p in grid]
     terms, integrals = _integrated(readers, F, family, N)

@@ -385,7 +385,7 @@ def _op_measure_map_continuity(ctx: _RunContext, params: dict) -> _OpOutput:
         N=ctx.tolerances["rho_terms"],
         tol=ctx.tolerances["metric"],
     )
-    max_rho = max((r for _, _, r in report.rows), default=0.0)
+    max_rho = max(r for _, _, r in report.rows)
     return _OpOutput(
         summary={"pairs": len(report.rows), "max_rho": max_rho},
         csv_table=report.csv_table(),
@@ -837,34 +837,36 @@ def _suite_wasserstein_axioms() -> list[_Check]:
     import random as _random
 
     rng = _random.Random(7)
-    sys_obj = systems.rotation("golden")
     seq = groups.z_intervals()
-    F = seq.subset(32)
     tol = 1e-9
     symmetric = True
     triangle = True
     zero_self = True
-    for _ in range(30):
-        pts = [
-            systems.circle_point(sys_obj, Fraction(rng.getrandbits(32), 1 << 32))
-            for _ in range(3)
-        ]
-        ms = [measures.empirical_measure(sys_obj, p, F) for p in pts]
-        wxy = transport.wasserstein_empirical(ms[0], ms[1], tol)
-        wyx = transport.wasserstein_empirical(ms[1], ms[0], tol)
-        wyz = transport.wasserstein_empirical(ms[1], ms[2], tol)
-        wxz = transport.wasserstein_empirical(ms[0], ms[2], tol)
-        symmetric &= wxy == wyx
-        triangle &= wxz <= wxy + wyz + 3 * tol
-        zero_self &= transport.wasserstein_empirical(ms[0], ms[0], tol) == 0.0
+    # 3 interval pairs have a float optimum that depends on the cost matrix's
+    # orientation, so their symmetry rests on W1's side order
+    for sys_obj, n, count, draw in (
+        (systems.rotation("golden"), 32, 30,
+         lambda: Fraction(rng.getrandbits(32), 1 << 32)),
+        (systems.interval_square(), 8, 10, rng.random),
+    ):
+        F = seq.subset(n)
+        for _ in range(count):
+            pts = [systems.parse_point(sys_obj, draw()) for _ in range(3)]
+            ms = [measures.empirical_measure(sys_obj, p, F) for p in pts]
+            w = {(i, j): transport.wasserstein_empirical(ms[i], ms[j], tol)
+                 for i in range(3) for j in range(3) if i != j}
+            symmetric &= all(w[i, j] == w[j, i] for i, j in w)
+            triangle &= w[0, 2] <= w[0, 1] + w[1, 2] + 3 * tol
+            zero_self &= transport.wasserstein_empirical(ms[0], ms[0], tol) == 0.0
     checks = [
-        _Check("symmetry is exact", symmetric, "30 random triples, n=32"),
+        _Check("symmetry is exact", symmetric, "30 rotation, 10 interval triples"),
         _Check("triangle inequality within 3*tol", triangle, "same triples"),
         _Check("self-distance is zero", zero_self, "identity pairing"),
     ]
     union = systems.two_rotations()
     a = systems.union_point(union, "a", Fraction(1, 3))
     b = systems.union_point(union, "b", Fraction(1, 7))
+    F = seq.subset(32)
     mu = measures.empirical_measure(union, a, F)
     nu = measures.empirical_measure(union, b, F)
     checks.append(

@@ -15,9 +15,9 @@ subset's own measure bit for bit.
 
 A measure made by ``empirical_measure`` is an orbit piece: it holds its
 point x and its subset F, and builds its atoms g*x only when something reads
-``atoms`` (its ``repr``, ``==``, ``hash``, a CSV export, W1's canonical sort
-key).  ``EmpiricalMeasure(sys, atoms, origin)`` is a point-list measure that
-holds the atoms it is given.  The two forms are equal when their atoms are.
+``atoms`` (its ``repr``, ``==``, ``hash``, a CSV export).
+``EmpiricalMeasure(sys, atoms, origin)`` is a point-list measure that holds
+the atoms it is given.  The two forms are equal when their atoms are.
 
 The orbit comes as a reader: ``systems._orbit_reader(sys, x, rows)`` reads
 ``orbit_coords`` of an orbit piece's point and rows, building the points only

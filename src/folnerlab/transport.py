@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SizeLimitError, UnsupportedCaseError
 from .measures import EmpiricalMeasure
-from .systems import _kernel_matrix
+from .systems import GSystem, _kernel_matrix
 
 __all__ = [
     "CostMatrix",
@@ -239,10 +239,6 @@ def plan_cost(C: CostMatrix, plan: TransportPlan) -> float:
     return math.fsum(cells.tolist()) / n
 
 
-def _atom_sort_key(mu: EmpiricalMeasure) -> str:
-    return repr([a.payload for a in mu.atoms])
-
-
 def orbit_cost_matrix(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float
 ) -> CostMatrix:
@@ -250,26 +246,26 @@ def orbit_cost_matrix(
     return CostMatrix(_kernel_matrix(mu.system, mu._coords(tol), nu._coords(tol)))
 
 
-def _w1_side(mu: EmpiricalMeasure, tol: float) -> tuple[EmpiricalMeasure, str, object]:
-    """One side of a W1 solve: the measure, its canonical sort key, and its
-    atoms' coordinates at the per-entry tol tol/n; built once per measure.
+def _bytes_key(U) -> object:
+    """U's bytes, taken tuple by tuple for union and product coords."""
+    if isinstance(U, tuple):
+        return tuple(map(_bytes_key, U))
+    return U.tobytes()
 
-    The key reads the atoms; the coordinates of an orbit piece come from its
-    ``orbit_coords``, equal bit for bit to the atoms' ``coords``.
+
+def _w1(sys: GSystem, U, V) -> float:
+    """W1 between the uniform measures on two equal-size coordinate sets of sys.
+
+    The sides are ordered by their bytes before the cost matrix is built.
+    Swapping the arguments then builds the same matrix, and sides with equal
+    bytes give a symmetric one, since every kernel is symmetric bit for bit;
+    so the result is exactly symmetric in (U, V).  The float solve's optimum
+    can depend on the matrix's orientation in its last bits, so the order
+    picks which of the two values W1 takes.
     """
-    return mu, _atom_sort_key(mu), mu._coords(tol / mu.count)
-
-
-def _w1(a: tuple, b: tuple) -> float:
-    """W1 between two equal-size measures given as _w1_side triples.
-
-    The sides are ordered canonically by their sort keys before the cost
-    matrix is built, so the result is exactly symmetric in (a, b).
-    """
-    if b[1] < a[1]:
-        a, b = b, a
-    (mu, _, U), (_, _, V) = a, b
-    return assignment_min(CostMatrix(_kernel_matrix(mu.system, U, V))).cost
+    if _bytes_key(V) < _bytes_key(U):
+        U, V = V, U
+    return assignment_min(CostMatrix(_kernel_matrix(sys, U, V))).cost
 
 
 def wasserstein_empirical(
@@ -277,8 +273,8 @@ def wasserstein_empirical(
 ) -> float:
     """Exact W1 between equal-size uniform empirical measures, within tol.
 
-    The arguments are ordered canonically before solving, so the result is
-    exactly symmetric in (mu, nu).
+    It is ``_w1`` of the measures' coords at tol/n, which builds no atom of an
+    orbit piece and is exactly symmetric in (mu, nu).
     """
     if mu.system.system_id != nu.system.system_id:
         raise UnsupportedCaseError(
@@ -290,7 +286,7 @@ def wasserstein_empirical(
             f"only equal-size uniform measures are supported "
             f"({mu.count} vs {nu.count} atoms)"
         )
-    return _w1(_w1_side(mu, tol), _w1_side(nu, tol))
+    return _w1(mu.system, mu._coords(tol / mu.count), nu._coords(tol / nu.count))
 
 
 def cost_matrix_to_csv(C: CostMatrix, path: str) -> None:

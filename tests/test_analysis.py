@@ -285,6 +285,17 @@ def test_coupling_bounds_report_tables():
     assert len(payload["rows"]) == 2
 
 
+def test_diagnostics_refuse_a_verdict_from_no_pairs():
+    seq = fl.z_intervals()
+    with pytest.raises(ValueError, match="at least two sample points"):
+        fl.unique_ergodicity_diagnostic(GOLDEN, [cpoint(0)], seq, 8)
+    for grid in ([], [cpoint(0)]):
+        with pytest.raises(ValueError, match="at least two grid points"):
+            fl.measure_map_continuity_diagnostic(GOLDEN, grid, seq, 8)
+    with pytest.raises(ValueError, match="at least one pair"):
+        fl.coupling_bounds_check(fl.product_system(GOLDEN), [], seq, [4])
+
+
 # ---------------------------------------------------------------------------
 # equicontinuity moduli
 
@@ -558,8 +569,8 @@ def test_union_measure_map_jumps_across_components():
 
 
 def test_continuity_singleton_grid_and_tables():
-    report = fl.measure_map_continuity_diagnostic(GOLDEN, [cpoint(0)], fl.z_intervals(), 8)
-    assert report.rows == ()
+    with pytest.raises(ValueError):
+        fl.measure_map_continuity_diagnostic(GOLDEN, [cpoint(0)], fl.z_intervals(), 8)
     grid = [cpoint(0), cpoint(Fraction(1, 2))]
     report = fl.measure_map_continuity_diagnostic(GOLDEN, grid, fl.z_intervals(), 8)
     header, rows = report.csv_table()
@@ -957,3 +968,44 @@ def test_mean_distance_trace_rejects_a_nan_tolerance():
     for sys_obj, a, b in ((shift, x, y), (GOLDEN, cpoint(0), cpoint(Fraction(1, 3)))):
         with pytest.raises(ValueError, match="tol must be positive"):
             fl.mean_distance_trace(sys_obj, a, b, fl.z_intervals(), [3, 5], math.nan)
+
+
+def test_w1_reads_coordinates_only(monkeypatch):
+    acted, read = [], []
+    circle = fl.systems._Circle
+    orbit, orbit_coords = circle.orbit, circle.orbit_coords
+
+    def counting_orbit(self, sys_obj, x, rows):
+        acted.append(len(rows))
+        return orbit(self, sys_obj, x, rows)
+
+    def counting_coords(self, sys_obj, x, rows, tol):
+        read.append(len(rows))
+        return orbit_coords(self, sys_obj, x, rows, tol)
+
+    monkeypatch.setattr(circle, "orbit", counting_orbit)
+    monkeypatch.setattr(circle, "orbit_coords", counting_coords)
+    seq, indices = fl.z_intervals(), [25, 50, 100]
+    x, y = cpoint(0), cpoint(Fraction(1, 3))
+    trace = fl.wasserstein_trace(GOLDEN, x, y, seq, indices)
+    # each point once over the union of the nested subsets, not 175 rows a point
+    assert (sum(acted), sum(read)) == (0, 200)
+    P = fl.product_system(GOLDEN)
+    z1 = fl.pair_point(P, x, y)
+    z2 = fl.pair_point(P, cpoint(Fraction(1, 5)), cpoint(Fraction(2, 7)))
+    acted.clear()
+    read.clear()
+    report = fl.coupling_bounds_check(P, [(z1, z2)], seq, indices)
+    # z1, z2 and the diagonal point over two factors, and the base pair
+    assert (sum(acted), sum(read)) == (0, 3 * 2 * 100 + 2 * 100)
+    monkeypatch.undo()
+    diagonal = fl.pair_point(P, y, y)
+    for n, w, row in zip(indices, trace.values, report.rows):
+        F = seq.subset(n)
+        mu_x, mu_y, mu1, mu2, mu_diag = (
+            fl.empirical_measure(s, p, F)
+            for s, p in ((GOLDEN, x), (GOLDEN, y), (P, z1), (P, z2), (P, diagonal))
+        )
+        assert repr(w) == repr(fl.wasserstein_empirical(mu_x, mu_y))
+        assert repr(row.w_product) == repr(fl.wasserstein_empirical(mu1, mu2))
+        assert repr(row.w_to_diagonal) == repr(fl.wasserstein_empirical(mu1, mu_diag))

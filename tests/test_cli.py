@@ -380,6 +380,23 @@ def _op_config(name, params):
 
 
 @pytest.mark.parametrize(
+    "name, params",
+    [
+        ("unique_ergodicity", {"points": ["0"], "n": 16}),
+        ("measure_map_continuity", {"grid": [], "n": 16}),
+        ("measure_map_continuity", {"grid": ["0"], "n": 16}),
+    ],
+    ids=["one-point", "empty-grid", "one-point-grid"],
+)
+def test_run_rejects_a_diagnostic_without_pairs(name, params, tmp_path, capsys):
+    # a verdict from zero pairs would read as evidence
+    cfg = write_config(tmp_path, "cfg.json", _op_config(name, params))
+    expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], 1, capsys,
+                "error[ValueError]: need at least two")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
     "config, needle",
     [
         (_op_config("wdist", {"x": "0", "y": "1/8", "n": [1]}), "operation.params.n:"),

@@ -388,6 +388,31 @@ def test_wasserstein_is_exactly_symmetric():
         assert fl.wasserstein_empirical(mu, nu) == fl.wasserstein_empirical(nu, mu)
 
 
+# interval_square orbit pairs (n, x, y), drawn from random.Random(22), on
+# which the float solve gives different last bits on C and on its transpose
+ORIENTED_INTERVAL_PAIRS = [
+    (8, 0.6514212405579194, 0.3456448375625667),
+    (8, 0.8327784131559905, 0.10315897493962733),
+    (25, 0.5271934518295606, 0.7677969095579009),
+    (25, 0.41443307824771025, 0.14990264370274142),
+    (40, 0.04912510769380796, 0.53181657121498),
+    (40, 0.27255137638648574, 0.03526105001132884),
+]
+
+
+@pytest.mark.parametrize("n, x, y", ORIENTED_INTERVAL_PAIRS)
+def test_wasserstein_is_exactly_symmetric_where_orientation_matters(n, x, y):
+    iv, seq = fl.interval_square(), fl.z_intervals()
+    p, q = fl.interval_point(iv, x), fl.interval_point(iv, y)
+    mu, nu = (fl.empirical_measure(iv, r, seq.subset(n)) for r in (p, q))
+    C = fl.orbit_cost_matrix(mu, nu, 1e-9 / n)
+    assert fl.assignment_min(C).cost != fl.assignment_min(fl.CostMatrix(C.entries.T)).cost
+    w = fl.wasserstein_empirical(mu, nu)
+    assert repr(w) == repr(fl.wasserstein_empirical(nu, mu))
+    traces = [fl.wasserstein_trace(iv, a, b, seq, [n]).values for a, b in ((p, q), (q, p))]
+    assert repr(traces[0]) == repr(traces[1]) == repr((w,))
+
+
 def test_wasserstein_triangle_inequality():
     rng = random.Random(11)
     tol = 1e-9
