@@ -239,6 +239,128 @@ def test_run_remaining_operations(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("ok ")
 
 
+def _golden(system, name, params, folner="z_interval", **extra):
+    return {"system": system, "folner": {"kind": folner}, **extra,
+            "operation": {"name": name, "params": params}}
+
+
+_GOLDEN_ROTATION = {"name": "rotation", "params": {"alpha": "golden"}}
+
+# (config, CSV text, JSON text with sorted keys) for each operation
+_GOLDEN = {
+    "wasserstein_trace": (
+        _golden(_GOLDEN_ROTATION, "wasserstein_trace", {"x": "0", "y": "3/10"},
+                indices=[4, 8]),
+        "n,value\n4,0.0909830056251\n8,0.05\n",
+        '{"indices": [4, 8], "kind": "wasserstein", "limsup_estimate": 0.049999999999999996,'
+        ' "values": [0.09098300562505257, 0.049999999999999996]}',
+    ),
+    "mean_distance_trace": (
+        _golden({"name": "interval_square"}, "mean_distance_trace", {"x": 0.3, "y": 0.6},
+                indices=[3, 6]),
+        "n,value\n3,0.2305\n6,0.118085456045\n",
+        '{"indices": [3, 6], "kind": "mean_distance", "limsup_estimate": 0.11808545604544744,'
+        ' "values": [0.2305, 0.11808545604544744]}',
+    ),
+    "wdist": (
+        _golden({"name": "rotation", "params": {"alpha": "1/3"}}, "wdist",
+                {"x": "0", "y": "1/7", "n": 5}),
+        "n,value\n5,0.142857142857\n",
+        '{"n": 5, "value": 0.14285714285714285}',
+    ),
+    "defect_table": (
+        _golden({"name": "zd_rotation", "params": {"alphas": ["1/3", "1/5"]}},
+                "defect_table", {"elements": [[0, -2]]}, folner="zd_box", indices=[2]),
+        'group,kind,n,g,side,defect\nZ^2,zd_box,2,"0,-2",left,4/5\n'
+        'Z^2,zd_box,2,"0,-2",right,4/5\n',
+        '{"rows": [{"defect": "4/5", "g": "0,-2", "group": "Z^2", "kind": "zd_box",'
+        ' "n": "2", "side": "left"}, {"defect": "4/5", "g": "0,-2", "group": "Z^2",'
+        ' "kind": "zd_box", "n": "2", "side": "right"}]}',
+    ),
+    "temperedness": (
+        _golden(_GOLDEN_ROTATION, "temperedness", {"upto": 4}),
+        "n,ratio\n2,1\n3,4/3\n4,3/2\n",
+        '{"constant": "3/2", "indices": [2, 3, 4], "ratios": ["1", "4/3", "3/2"]}',
+    ),
+    "tempered_extraction": (
+        _golden(_GOLDEN_ROTATION, "tempered_extraction", {"constant": "2", "count": 3}),
+        "position,index\n1,1\n2,2\n3,3\n",
+        '{"indices": [1, 2, 3]}',
+    ),
+    "coupling_bounds": (
+        _golden(_GOLDEN_ROTATION, "coupling_bounds",
+                {"pairs": [{"z1": {"left": "0", "right": "1/3"},
+                            "z2": {"left": "1/8", "right": "2/5"}}]},
+                indices=[4, 8]),
+        "pair,n,w_product,diagonal_mean,w_to_diagonal,base_mean\n"
+        "0,4,0.191666666667,0.191666666667,0.333333333333,0.333333333333\n"
+        "0,8,0.0844558755212,0.191666666667,0.333333333333,0.333333333333\n",
+        '{"max_violation": 0.0, "max_violation_lower": 0.0, "max_violation_upper": 0.0,'
+        ' "rows": [{"base_mean": 0.3333333333333333, "diagonal_mean": 0.19166666666666668,'
+        ' "n": 4, "pair": 0, "w_product": 0.19166666666666668,'
+        ' "w_to_diagonal": 0.3333333333333333}, {"base_mean": 0.3333333333333333,'
+        ' "diagonal_mean": 0.19166666666666668, "n": 8, "pair": 0,'
+        ' "w_product": 0.08445587552122766, "w_to_diagonal": 0.3333333333333333}],'
+        ' "tolerance": 1e-09}',
+    ),
+    "unique_ergodicity": (
+        _golden({"name": "two_rotations"}, "unique_ergodicity",
+                {"points": [{"component": "a", "value": "0"},
+                            {"component": "a", "value": "1/3"},
+                            {"component": "b", "value": "5/8"}], "n": 16}),
+        "i,j,w,rho\n0,1,0.0121905196877,0.00633018273116\n0,2,1,0.253876481272\n"
+        "1,2,1,0.254228639705\n",
+        '{"consistent": false, "max_rho": 0.25422863970516346, "max_w": 1.0, "n": 16,'
+        ' "pairs": [{"i": 0, "j": 1, "rho": 0.006330182731162544, "w": 0.012190519687684018},'
+        ' {"i": 0, "j": 2, "rho": 0.25387648127196577, "w": 1.0},'
+        ' {"i": 1, "j": 2, "rho": 0.25422863970516346, "w": 1.0}], "threshold": 0.05}',
+    ),
+    "generic_measure_trace": (
+        _golden({"name": "full_shift"}, "generic_measure_trace",
+                {"x": {"kind": "random", "seed": 1}}, indices=[4, 8, 16]),
+        "n_from,n_to,rho\n4,8,0.122238643994\n8,16,0.0834624886361\n",
+        '{"cauchy_defect": 0.08346248863614392,'
+        ' "consecutive_rho": [0.12223864399402373, 0.08346248863614392],'
+        ' "indices": [4, 8, 16]}',
+    ),
+    "measure_map_continuity": (
+        _golden({"name": "interval_square"}, "measure_map_continuity",
+                {"grid": [0.25, 0.5, 0.75], "n": 8}),
+        "i,distance,rho\n0,0.25,0.0208333333333\n1,0.25,0.0454129484946\n",
+        '{"n": 8, "rows": [{"distance": 0.25, "i": 0, "rho": 0.020833333333333332},'
+        ' {"distance": 0.25, "i": 1, "rho": 0.04541294849460318}]}',
+    ),
+    "uniform_convergence": (
+        _golden({"name": "heisenberg_rotation"}, "uniform_convergence",
+                {"observable_index": 3, "grid": [["0", "0"], ["1/2", "1/3"]],
+                 "index_pairs": [[1, 2]]}, folner="heisenberg_box"),
+        "n,m,sup_gap\n1,2,0.0982686573743\n",
+        '{"rows": [{"m": 2, "n": 1, "sup_gap": 0.09826865737433603}]}',
+    ),
+    "modulus": (
+        _golden(_GOLDEN_ROTATION, "modulus",
+                {"kind": "wasserstein", "deltas": [0.01, 0.1], "pairs_per_delta": 2},
+                indices=[4, 8], seed=5),
+        "delta,sup_value,samples_per_delta\n0.01,0.0052,2\n0.1,0.0516,2\n",
+        '{"delta_grid": [0.01, 0.1], "kind": "wasserstein", "sample_count": 2,'
+        ' "sup_values": [0.005199999999999986, 0.0516]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_run_writes_golden_csv_and_json(name, tmp_path, capsys):
+    # every report cell and JSON row, pinned byte for byte
+    config, csv_text, json_text = _GOLDEN[name]
+    config = config | {"output": {"csv": "out.csv", "json": "out.json"}}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(f"ok {name} ")
+    assert (tmp_path / "out.csv").read_text() == csv_text
+    layout = json.dumps(json.loads(json_text), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "out.json").read_text() == layout
+
+
 def test_seed_override_is_reported_and_changes_sampling(tmp_path, capsys):
     config = {
         "system": {"name": "rotation", "params": {"alpha": "golden"}},
