@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +30,8 @@ from .measures import (
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _at, _check_point, _check_subset, _orbit_coords,
-    _orbit_reader, metric, pair_point, space_of,
+    GSystem, SystemPoint, _at, _cell, _check_point, _check_subset, _orbit_coords,
+    _orbit_reader, _rows, metric, pair_point, space_of,
 )
 from .transport import _w1, wasserstein_empirical
 
@@ -72,8 +72,14 @@ def _check_indices(indices: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _rows(F: FiniteSubset) -> list[tuple[int, ...]]:
-    return list(map(tuple, F.coords_array().tolist()))
+def _csv(header: Sequence[str], rows) -> tuple[list[str], list[list[str]]]:
+    """A report's CSV table: the header, and each row's values as cells."""
+    return list(header), [[_cell(v) for v in row] for row in rows]
+
+
+def _records(header: Sequence[str], rows) -> list[dict]:
+    """A report's JSON rows: each row's values keyed by the CSV header."""
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _union_rows(
@@ -89,7 +95,7 @@ def _union_rows(
     positions = []
     for F in reversed(subsets):
         _check_subset(sys, F)
-        rows = _rows(F)
+        rows = list(map(tuple, _rows(F)))
         missing = [g for g in rows if g not in index]
         index.update(zip(missing, range(len(index), len(index) + len(missing))))
         positions.append(np.fromiter(map(index.__getitem__, rows), np.intp, len(rows)))
@@ -127,15 +133,14 @@ class PseudometricTrace:
     kind: str  # "wasserstein" | "mean_distance"
     indices: tuple[int, ...]
     values: tuple[float, ...]
+    _header = ("n", "value")
 
     @property
     def limsup_estimate(self) -> float:
         return _last_half_max(self.values)
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["n", "value"]
-        rows = [[str(n), "%.12g" % v] for n, v in zip(self.indices, self.values)]
-        return header, rows
+        return _csv(self._header, zip(self.indices, self.values))
 
 
 def wasserstein_trace(
@@ -221,6 +226,8 @@ class CouplingBoundsReport:
 
     rows: tuple[CouplingBoundsRow, ...]
     tolerance: float
+    # the CSV columns, one per CouplingBoundsRow field in order
+    _header = ("pair", "n", "w_product", "diagonal_mean", "w_to_diagonal", "base_mean")
 
     @property
     def max_violation_upper(self) -> float:
@@ -240,40 +247,11 @@ class CouplingBoundsReport:
             "max_violation": self.max_violation,
             "max_violation_upper": self.max_violation_upper,
             "max_violation_lower": self.max_violation_lower,
-            "rows": [
-                {
-                    "pair": r.pair_index,
-                    "n": r.n,
-                    "w_product": r.w_product,
-                    "diagonal_mean": r.diagonal_mean,
-                    "w_to_diagonal": r.w_to_diagonal,
-                    "base_mean": r.base_mean,
-                }
-                for r in self.rows
-            ],
+            "rows": _records(self._header, map(astuple, self.rows)),
         }
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = [
-            "pair",
-            "n",
-            "w_product",
-            "diagonal_mean",
-            "w_to_diagonal",
-            "base_mean",
-        ]
-        rows = [
-            [
-                str(r.pair_index),
-                str(r.n),
-                "%.12g" % r.w_product,
-                "%.12g" % r.diagonal_mean,
-                "%.12g" % r.w_to_diagonal,
-                "%.12g" % r.base_mean,
-            ]
-            for r in self.rows
-        ]
-        return header, rows
+        return _csv(self._header, map(astuple, self.rows))
 
 
 def coupling_bounds_check(
@@ -336,18 +314,11 @@ class ModulusEstimate:
     delta_grid: tuple[float, ...]
     sup_values: tuple[float, ...]
     sample_count: int
+    _header = ("delta", "sup_value", "samples_per_delta")
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["delta", "sup_value", "samples_per_delta"]
-        rows = [
-            [
-                "%.12g" % d,
-                "%.12g" % s,
-                str(self.sample_count),
-            ]
-            for d, s in zip(self.delta_grid, self.sup_values)
-        ]
-        return header, rows
+        sups = zip(self.delta_grid, self.sup_values)
+        return _csv(self._header, [(d, s, self.sample_count) for d, s in sups])
 
 
 def near_pair_sampler(
@@ -399,12 +370,17 @@ def modulus_estimate(
 
 
 def _integrated(
-    readers: Sequence, F: FiniteSubset, family: ObservableFamily, N: int
-) -> tuple[list[Observable], list[list[float]]]:
-    """rho's N terms, and their integrals over each reader's orbit over F."""
+    sys: GSystem, points: Sequence[SystemPoint], F: FiniteSubset,
+    family: ObservableFamily, N: int,
+) -> tuple[list, list[Observable], list[list[float]]]:
+    """Each point's orbit reader over F, rho's N terms, and their integrals
+    over each orbit."""
+    _check_subset(sys, F)
+    rows = _rows(F)
+    readers = [_orbit_reader(sys, p, rows) for p in points]
     terms = _rho_terms(family, N)
     everywhere = _everywhere(F.size)
-    return terms, [_integrals(read, everywhere, terms)[0] for read in readers]
+    return readers, terms, [_integrals(read, everywhere, terms)[0] for read in readers]
 
 
 @dataclass(frozen=True)
@@ -414,6 +390,7 @@ class UniqueErgodicityReport:
     pair_rows: tuple[tuple[int, int, float, float], ...]  # (i, j, w, rho)
     max_w: float
     max_rho: float
+    _header = ("i", "j", "w", "rho")
 
     @property
     def consistent(self) -> bool:
@@ -426,18 +403,11 @@ class UniqueErgodicityReport:
             "max_w": self.max_w,
             "max_rho": self.max_rho,
             "consistent": self.consistent,
-            "pairs": [
-                {"i": i, "j": j, "w": w, "rho": r} for i, j, w, r in self.pair_rows
-            ],
+            "pairs": _records(self._header, self.pair_rows),
         }
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["i", "j", "w", "rho"]
-        rows = [
-            [str(i), str(j), "%.12g" % w, "%.12g" % r]
-            for i, j, w, r in self.pair_rows
-        ]
-        return header, rows
+        return _csv(self._header, self.pair_rows)
 
 
 def unique_ergodicity_diagnostic(
@@ -460,11 +430,9 @@ def unique_ergodicity_diagnostic(
     if family is None:
         family = observable_family(sys)
     F = seq.subset(n)
-    measures = [empirical_measure(sys, p, F) for p in points]
-    readers = [mu._reader() for mu in measures]
-    terms, integrals = _integrated(readers, F, family, N)
-    # each measure's coords once, for all its pairs
-    coords = [mu._coords(tol / F.size) for mu in measures]
+    readers, terms, integrals = _integrated(sys, points, F, family, N)
+    # W1 reads the arrays the integrals read, where the coords ignore the tol
+    coords = [read(tol / F.size) for read in readers]
     rows = []
     max_w = 0.0
     max_rho = 0.0
@@ -490,18 +458,14 @@ class GenericMeasureTrace:
     indices: tuple[int, ...]
     measures: tuple[EmpiricalMeasure, ...]
     consecutive_rho: tuple[float, ...]
+    _header = ("n_from", "n_to", "rho")
 
     @property
     def cauchy_defect(self) -> float:
         return _last_half_max(self.consecutive_rho)
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["n_from", "n_to", "rho"]
-        rows = [
-            [str(a), str(b), "%.12g" % r]
-            for a, b, r in zip(self.indices, self.indices[1:], self.consecutive_rho)
-        ]
-        return header, rows
+        return _csv(self._header, zip(self.indices, self.indices[1:], self.consecutive_rho))
 
 
 def generic_measure_trace(
@@ -534,21 +498,13 @@ class ContinuityReport:
 
     n: int
     rows: tuple[tuple[int, float, float], ...]  # (i, d(x_i, x_{i+1}), rho)
+    _header = ("i", "distance", "rho")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [
-                {"i": i, "distance": d, "rho": r} for i, d, r in self.rows
-            ],
-        }
+        return {"n": self.n, "rows": _records(self._header, self.rows)}
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["i", "distance", "rho"]
-        rows = [
-            [str(i), "%.12g" % d, "%.12g" % r] for i, d, r in self.rows
-        ]
-        return header, rows
+        return _csv(self._header, self.rows)
 
 
 def measure_map_continuity_diagnostic(
@@ -564,11 +520,7 @@ def measure_map_continuity_diagnostic(
         raise ValueError("need at least two grid points")
     if family is None:
         family = observable_family(sys)
-    F = seq.subset(n)
-    _check_subset(sys, F)
-    orbit = _rows(F)
-    readers = [_orbit_reader(sys, p, orbit) for p in grid]
-    terms, integrals = _integrated(readers, F, family, N)
+    _, terms, integrals = _integrated(sys, grid, seq.subset(n), family, N)
     rows = []
     for i in range(len(grid) - 1):
         d = metric(sys, grid[i], grid[i + 1], tol)
@@ -582,16 +534,13 @@ class UniformConvergenceReport:
     """sup over a grid of |A_{F_n} f - A_{F_m} f| for index pairs n < m."""
 
     rows: tuple[tuple[int, int, float], ...]  # (n, m, sup_gap)
+    _header = ("n", "m", "sup_gap")
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": [{"n": n, "m": m, "sup_gap": s} for n, m, s in self.rows]
-        }
+        return {"rows": _records(self._header, self.rows)}
 
     def csv_table(self) -> tuple[list[str], list[list[str]]]:
-        header = ["n", "m", "sup_gap"]
-        rows = [[str(n), str(m), "%.12g" % s] for n, m, s in self.rows]
-        return header, rows
+        return _csv(self._header, self.rows)
 
 
 def uniform_convergence_diagnostic(
@@ -603,6 +552,8 @@ def uniform_convergence_diagnostic(
 ) -> UniformConvergenceReport:
     if not grid:
         raise ValueError("grid must be nonempty")
+    if not index_pairs:
+        raise ValueError("need at least one index pair")
     for n, m in index_pairs:
         if not 1 <= n < m:
             raise ValueError("index pairs must satisfy 1 <= n < m")

@@ -38,10 +38,6 @@ __all__ = ["main"]
 _DEFAULT_TOLERANCES = {"metric": 1e-9, "rho_terms": 40, "threshold": 0.05}
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -247,10 +243,10 @@ def _op_wdist(ctx: _RunContext, params: dict) -> _OpOutput:
     mu = measures.empirical_measure(ctx.system, x, F)
     nu = measures.empirical_measure(ctx.system, y, F)
     value = transport.wasserstein_empirical(mu, nu, ctx.tolerances["metric"])
+    header, rows = ["n", "value"], [(n, value)]
+    (record,) = analysis._records(header, rows)
     return _OpOutput(
-        summary={"n": n, "value": value},
-        csv_table=(["n", "value"], [[str(n), _fmt(value)]]),
-        json_payload={"n": n, "value": value},
+        summary=record, csv_table=analysis._csv(header, rows), json_payload=record
     )
 
 
@@ -258,10 +254,13 @@ def _op_defect_table(ctx: _RunContext, params: dict) -> _OpOutput:
     seq = ctx.require_seq()
     indices = ctx.require_indices()
     sides = params.get("sides", ["left", "right"])
+    for key, value in (("elements", params["elements"]), ("sides", sides)):
+        if not value:  # a table of no rows would read as a zero defect
+            raise ConfigError("expected a nonempty list", f"operation.params.{key}")
     rows = []
-    worst = Fraction(0)
     for coords in params["elements"]:
         g = groups.GroupElement(seq.group_id, tuple(coords))
+        g_cell = ",".join(map(str, coords))
         for n in indices:
             F = seq.subset(n)
             for side in sides:
@@ -269,30 +268,23 @@ def _op_defect_table(ctx: _RunContext, params: dict) -> _OpOutput:
                     value = groups.folner_defect_left(F, g)
                 else:
                     value = groups.folner_defect_right(F, g)
-                worst = max(worst, value)
-                rows.append(
-                    [
-                        seq.group_id,
-                        seq.kind,
-                        str(n),
-                        ",".join(map(str, coords)),
-                        side,
-                        str(value),
-                    ]
-                )
+                rows.append((seq.group_id, seq.kind, n, g_cell, side, value))
+    worst = max(row[-1] for row in rows)
+    header = ["group", "kind", "n", "g", "side", "defect"]
+    # the JSON rows hold the CSV cells, exact defects and indices as strings
+    table = analysis._csv(header, rows)
     return _OpOutput(
         summary={"rows": len(rows), "max_defect": str(worst)},
-        csv_table=(["group", "kind", "n", "g", "side", "defect"], rows),
-        json_payload={"rows": [dict(zip(("group", "kind", "n", "g", "side", "defect"), r)) for r in rows]},
+        csv_table=table,
+        json_payload={"rows": analysis._records(header, table[1])},
     )
 
 
 def _op_temperedness(ctx: _RunContext, params: dict) -> _OpOutput:
     report = groups.temperedness_report(ctx.require_seq(), params["upto"])
-    rows = [[str(n), str(r)] for n, r in zip(report.indices, report.ratios)]
     return _OpOutput(
         summary={"constant": str(report.constant)},
-        csv_table=(["n", "ratio"], rows),
+        csv_table=analysis._csv(["n", "ratio"], zip(report.indices, report.ratios)),
         json_payload={
             "indices": list(report.indices),
             "ratios": [str(r) for r in report.ratios],
@@ -309,7 +301,7 @@ def _op_tempered_extraction(ctx: _RunContext, params: dict) -> _OpOutput:
     )
     return _OpOutput(
         summary={"indices": list(indices)},
-        csv_table=(["position", "index"], [[str(i + 1), str(n)] for i, n in enumerate(indices)]),
+        csv_table=analysis._csv(["position", "index"], enumerate(indices, 1)),
         json_payload={"indices": list(indices)},
     )
 
@@ -400,7 +392,7 @@ def _op_uniform_convergence(ctx: _RunContext, params: dict) -> _OpOutput:
     report = analysis.uniform_convergence_diagnostic(
         ctx.system, f, grid, ctx.require_seq(), params["index_pairs"]
     )
-    max_gap = max((s for _, _, s in report.rows), default=0.0)
+    max_gap = max(s for _, _, s in report.rows)
     return _OpOutput(
         summary={"observable": f.name, "max_sup_gap": max_gap},
         csv_table=report.csv_table(),
@@ -986,20 +978,24 @@ def _suite_reproducibility() -> list[_Check]:
             "name": "wasserstein_trace",
             "params": {"x": "0", "y": "3/10"},
         },
-        "output": {"csv": "trace.csv"},
+        "output": {"csv": "trace.csv", "json": "trace.json"},
     }
-    blobs = []
+    runs = []
     for _ in range(2):
         with tempfile.TemporaryDirectory() as tmp:
             _run_config(dict(config), tmp, None)
-            with open(os.path.join(tmp, "trace.csv"), "rb") as handle:
-                blobs.append(handle.read())
+            blobs = {}
+            for kind, name in config["output"].items():
+                with open(os.path.join(tmp, name), "rb") as handle:
+                    blobs[kind] = handle.read()
+            runs.append(blobs)
     return [
         _Check(
-            "identical config yields byte-identical CSV",
-            blobs[0] == blobs[1],
-            f"{len(blobs[0])} bytes",
+            f"identical config yields byte-identical {kind.upper()}",
+            runs[0][kind] == runs[1][kind],
+            f"{len(runs[0][kind])} bytes",
         )
+        for kind in config["output"]
     ]
 
 
@@ -1180,7 +1176,7 @@ def _cmd_wdist(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.json_payload, sort_keys=True))
     else:
-        print(_fmt(result.summary["value"]))
+        print(systems._cell(result.summary["value"]))
     return 0
 
 
@@ -1196,8 +1192,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         for n, v in zip(payload["indices"], payload["values"]):
-            print(f"n={n} value={_fmt(v)}")
-        print(f"limsup_estimate={_fmt(payload['limsup_estimate'])}")
+            print(f"n={n} value={systems._cell(v)}")
+        print(f"limsup_estimate={systems._cell(payload['limsup_estimate'])}")
     return 0
 
 

@@ -43,7 +43,7 @@ from .groups import FiniteSubset
 from .systems import (
     GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _Reader,
     _check_point, _check_subset, _coords, _orbit, _orbit_coords, _orbit_reader,
-    _reader, atom_header, atom_row, point_to_dict, space_of,
+    _reader, _rows, atom_header, atom_row, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -144,11 +144,6 @@ class EmpiricalMeasure:
             f"{type(self).__qualname__}(system={self.system!r}, "
             f"atoms={self.atoms!r}, origin={self.origin!r})"
         )
-
-
-def _rows(F: FiniteSubset) -> list:
-    """F's coordinate rows as lists of Python ints, the rows ``Space.orbit`` takes."""
-    return F.coords_array().tolist()
 
 
 def empirical_measure(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> EmpiricalMeasure:

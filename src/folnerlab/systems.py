@@ -272,12 +272,17 @@ class _Reader:
     """The arrays of one orbit, each read on first use and then kept.
 
     ``read(tol)`` is the space's coordinate array of the orbit at that tol,
-    through ``fetch(tol)``; ``read.side(i)`` is the reader of product factor
-    i, through ``make_side(i)``; ``points`` is the orbit's point list, built
-    by ``make_points`` only when a plain callable asks for it.
+    through ``fetch(tol)``, read once per tol where the space's coords read
+    the tol and once in all where they do not; ``read.side(i)`` is the
+    reader of product factor i, through ``make_side(i)``; ``points`` is the
+    orbit's point list, built by ``make_points`` only when a plain callable
+    asks for it.
     """
 
-    def __init__(self, fetch: Callable, make_side: Callable, make_points: Callable):
+    def __init__(
+        self, sys: "GSystem", fetch: Callable, make_side: Callable, make_points: Callable
+    ):
+        self._reads_tol = space_of(sys).reads_tol(sys)
         self._fetch = fetch
         self._make_side = make_side
         self._make_points = make_points
@@ -285,9 +290,12 @@ class _Reader:
         self._sides: dict = {}
 
     def __call__(self, tol: float = 1.0):
-        if tol not in self._arrays:
-            self._arrays[tol] = self._fetch(tol)
-        return self._arrays[tol]
+        if not tol > 0:  # NaN included
+            raise ValueError("tol must be positive")
+        key = tol if self._reads_tol else None
+        if key not in self._arrays:
+            self._arrays[key] = self._fetch(tol)
+        return self._arrays[key]
 
     def side(self, i: int) -> "_Reader":
         if i not in self._sides:
@@ -303,6 +311,7 @@ def _reader(sys: "GSystem", points: Sequence[SystemPoint]) -> _Reader:
     """read(tol) = coords(sys, points, tol); side i reads factor i of each point."""
     space = space_of(sys)
     return _Reader(
+        sys,
         lambda tol: space.coords(sys, points, tol),
         lambda i: _reader(sys.factors[i], [p.payload[i] for p in points]),
         lambda: points,
@@ -317,6 +326,7 @@ def _orbit_reader(sys: "GSystem", x: SystemPoint, rows: Sequence) -> _Reader:
     _check_point(sys, x)
     space = space_of(sys)
     return _Reader(
+        sys,
         lambda tol: space.orbit_coords(sys, x, rows, tol),
         # the action is diagonal: each side's orbit is its factor point's orbit
         lambda i: _orbit_reader(sys.factors[i], x.payload[i], rows),
@@ -522,7 +532,7 @@ class _Circle(Space):
         return ["x"]
 
     def atom_row(self, sys, x):
-        return ["%.12g" % float(x.payload)]
+        return [_cell(float(x.payload))]
 
     def near_pair(self, sys, rng, delta):
         step = min(Fraction(delta), Fraction(1, 2))
@@ -593,7 +603,7 @@ class _Torus(Space):
         return [f"x{i}" for i in range(len(sys.param("alphas")))]
 
     def atom_row(self, sys, x):
-        return ["%.12g" % float(c) for c in x.payload]
+        return [_cell(float(c)) for c in x.payload]
 
     def near_pair(self, sys, rng, delta):
         d = len(sys.param("alphas"))
@@ -745,7 +755,7 @@ class _Interval(Space):
         return ["x"]
 
     def atom_row(self, sys, x):
-        return ["%.12g" % x.payload]
+        return [_cell(x.payload)]
 
     def near_pair(self, sys, rng, delta):
         x = rng.random()
@@ -807,7 +817,7 @@ class _Union(Space):
         return ["component", "x"]
 
     def atom_row(self, sys, x):
-        return [x.payload[0], "%.12g" % float(x.payload[1])]
+        return [x.payload[0], _cell(float(x.payload[1]))]
 
     def near_pair(self, sys, rng, delta):
         tag = rng.choice(("a", "b"))
@@ -957,11 +967,16 @@ def _orbit(sys: GSystem, x: SystemPoint, rows: Sequence) -> list[SystemPoint]:
     return space_of(sys).orbit(sys, x, rows)
 
 
+def _rows(F: FiniteSubset) -> list:
+    """F's coordinate rows as lists of Python ints, the rows ``Space.orbit`` takes."""
+    return F.coords_array().tolist()
+
+
 def orbit_sample(sys: GSystem, x: SystemPoint, F: FiniteSubset) -> list[SystemPoint]:
     """The orbit piece [g*x for g in F], in F's enumeration order."""
     _check_point(sys, x)
     _check_subset(sys, F)
-    return space_of(sys).orbit(sys, x, F.coords_array().tolist())
+    return space_of(sys).orbit(sys, x, _rows(F))
 
 
 def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> float:
@@ -1246,3 +1261,9 @@ def atom_header(sys: GSystem) -> list[str]:
 def atom_row(sys: GSystem, x: SystemPoint) -> list[str]:
     """CSV cells for one atom, matching atom_header."""
     return space_of(sys).atom_row(sys, x)
+
+
+def _cell(value: object) -> str:
+    """One CSV cell: a float to 12 significant digits; an int, an exact
+    Fraction (as p/q) or a tag by str."""
+    return "%.12g" % value if isinstance(value, float) else str(value)

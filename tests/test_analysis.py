@@ -937,19 +937,14 @@ def test_shift_mean_distance_reads_each_index_at_its_own_tol():
 
 def test_unique_ergodicity_converts_each_measure_once(monkeypatch):
     calls = []
-    coords, orbit_coords = fl.measures._coords, fl.measures._orbit_coords
+    orbit_coords = fl.systems._Circle.orbit_coords
 
-    def counting(sys_obj, points, tol):
-        calls.append(len(points))
-        return coords(sys_obj, points, tol)
-
-    def orbit_counting(sys_obj, x, rows, tol):
+    def orbit_counting(self, sys_obj, x, rows, tol):
         calls.append(len(rows))
-        return orbit_coords(sys_obj, x, rows, tol)
+        return orbit_coords(self, sys_obj, x, rows, tol)
 
-    # W1 reads a measure's coordinates through the measure, in either form
-    monkeypatch.setattr(fl.measures, "_coords", counting)
-    monkeypatch.setattr(fl.measures, "_orbit_coords", orbit_counting)
+    # the rho integrals and W1 read each point's orbit once between them
+    monkeypatch.setattr(fl.systems._Circle, "orbit_coords", orbit_counting)
     points = [cpoint(Fraction(k, 5)) for k in range(5)]
     F = fl.z_intervals().subset(64)
     report = fl.unique_ergodicity_diagnostic(GOLDEN, points, fl.z_intervals(), 64)

@@ -519,6 +519,29 @@ def test_run_rejects_a_diagnostic_without_pairs(name, params, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, params, code, line",
+    [
+        ("uniform_convergence",
+         {"observable_index": 1, "grid": ["0"], "index_pairs": []},
+         1, "error[ValueError]: need at least one index pair"),
+        ("defect_table", {"elements": []},
+         2, "error[ConfigError]: operation.params.elements: expected a nonempty list"),
+        ("defect_table", {"elements": [[1]], "sides": []},
+         2, "error[ConfigError]: operation.params.sides: expected a nonempty list"),
+    ],
+    ids=["no-index-pairs", "no-elements", "no-sides"],
+)
+def test_run_rejects_an_operation_without_rows(name, params, code, line, tmp_path, capsys):
+    # a maximum over zero rows would read as a zero gap or a zero defect
+    config = trace_config(operation={"name": name, "params": params},
+                          output={"csv": "out.csv", "json": "out.json"})
+    cfg = write_config(tmp_path, "cfg.json", config)
+    err = expect_exit(["run", "--config", cfg, "--out", str(tmp_path)], code, capsys)
+    assert err == line + "\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize(
     "config, needle",
     [
         (_op_config("wdist", {"x": "0", "y": "1/8", "n": [1]}), "operation.params.n:"),
@@ -575,6 +598,15 @@ def test_verify_text_output(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "checks passed" in out
+
+
+def test_verify_reproducibility_compares_csv_and_json(capsys):
+    assert main(["verify", "reproducibility", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "identical config yields byte-identical CSV",
+        "identical config yields byte-identical JSON",
+    ]
 
 
 def test_verify_unknown_suite(capsys):
