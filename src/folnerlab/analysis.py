@@ -22,7 +22,6 @@ from .measures import (
     EmpiricalMeasure,
     Observable,
     ObservableFamily,
-    _everywhere,
     _integrals,
     _rho_sum,
     _rho_terms,
@@ -30,8 +29,8 @@ from .measures import (
     observable_family,
 )
 from .systems import (
-    GSystem, SystemPoint, _at, _cell, _check_point, _check_subset, _orbit_coords,
-    _orbit_reader, _rows, metric, pair_point, space_of,
+    GSystem, SystemPoint, _at, _cell, _check_point, _check_subset, _orbit_reader,
+    _rows, metric, pair_point, space_of,
 )
 from .transport import _w1, wasserstein_empirical
 
@@ -110,13 +109,13 @@ def _coords_along(sys: GSystem, points: Sequence[SystemPoint], subsets, tol) -> 
     """
     if not space_of(sys).reads_tol(sys):
         rows, positions = _union_rows(sys, subsets)
-        orbits = [_orbit_coords(sys, p, rows, tol) for p in points]
+        orbits = [_orbit_reader(sys, p, rows)(tol) for p in points]
         return [[_at(U, pos) for U in orbits] for pos in positions]
     # a shift's symbol depth: each index reads its points together at tol/|F|
     out = []
     for F in subsets:
         rows, _ = _union_rows(sys, [F])
-        out.append([_orbit_coords(sys, p, rows, tol / F.size) for p in points])
+        out.append([_orbit_reader(sys, p, rows)(tol / F.size) for p in points])
     return out
 
 
@@ -329,8 +328,8 @@ def near_pair_sampler(
     space = space_of(sys)
 
     def sample(delta: float, count: int) -> list[tuple[SystemPoint, SystemPoint]]:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < math.inf:  # NaN included
+            raise ValueError(f"delta must be positive and finite, got {delta!r}")
         return [space.near_pair(sys, rng, delta) for _ in range(count)]
 
     return sample
@@ -375,11 +374,9 @@ def _integrated(
 ) -> tuple[list, list[Observable], list[list[float]]]:
     """Each point's orbit reader over F, rho's N terms, and their integrals
     over each orbit."""
-    _check_subset(sys, F)
-    rows = _rows(F)
+    rows, everywhere = _union_rows(sys, [F])
     readers = [_orbit_reader(sys, p, rows) for p in points]
     terms = _rho_terms(family, N)
-    everywhere = _everywhere(F.size)
     return readers, terms, [_integrals(read, everywhere, terms)[0] for read in readers]
 
 

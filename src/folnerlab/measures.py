@@ -23,9 +23,9 @@ The orbit comes as a reader: ``systems._orbit_reader(sys, x, rows)`` reads
 ``orbit_coords`` of an orbit piece's point and rows, building the points only
 when a plain callable needs them, and ``systems._reader(sys, atoms)`` reads
 the space's ``coords`` of a point list's atoms; the arrays are bit for bit
-the same.  ``integrate``, ``rho_distance``, ``birkhoff_average`` and W1's
-coordinates read a measure through its own form, so on an orbit piece none
-of them builds an atom.
+the same.  ``integrate``, ``rho_distance``, ``birkhoff_average``, W1 and the
+cost matrix read a measure through ``EmpiricalMeasure._reader``, so on an
+orbit piece none of them builds an atom.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .errors import SystemMismatchError
 from .groups import FiniteSubset
 from .systems import (
     GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _Reader,
-    _check_point, _check_subset, _coords, _orbit, _orbit_coords, _orbit_reader,
-    _reader, _rows, atom_header, atom_row, point_to_dict, space_of,
+    _check_point, _check_subset, _orbit, _orbit_reader, _reader, _rows, atom_header,
+    atom_row, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -76,6 +76,8 @@ class EmpiricalMeasure:
     ) -> None:
         if not atoms:
             raise ValueError("an empirical measure needs at least one atom")
+        for a in atoms:
+            _check_point(system, a)
         self._init(system, atoms, origin, None)
 
     def _init(self, system: GSystem, atoms, origin: tuple[str, str], orbit) -> None:
@@ -120,13 +122,6 @@ class EmpiricalMeasure:
             return _reader(self.system, self.atoms)
         x, F = self._orbit
         return _orbit_reader(self.system, x, _rows(F))
-
-    def _coords(self, tol: float):
-        """The atoms' coordinate array at tol, read as ``_reader`` reads it."""
-        if self._orbit is None:
-            return _coords(self.system, self.atoms, tol)
-        x, F = self._orbit
-        return _orbit_coords(self.system, x, _rows(F), tol)
 
     def _key(self) -> tuple:
         return (self.system, self.atoms, self.origin)

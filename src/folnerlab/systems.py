@@ -43,6 +43,10 @@ Every family observable is one formula over the orbit's coordinate array,
 which a reader reads once per orbit and tol and shares between observables:
 ``read(tol)`` is ``coords`` of a point list or ``orbit_coords`` of an orbit,
 equal bit for bit, and ``read.side(i)`` is the reader of product factor i.
+The reader is the one path to a coordinate array: W1, the means, the
+distance matrices and the integrals all read through it, and a product's
+``read(tol)`` is the pair of its sides' arrays at tol/2, so the factor
+orbits that its observables read are the ones its W1 reads.
   circle    ``read()``, the float64 array (float of each payload)
   torus     ``read()``, the (n, d) float64 array
   shift     ``read(2^-(2r+1))`` for a cylinder of radius r: depth 2r+1, the
@@ -272,18 +276,20 @@ class _Reader:
     """The arrays of one orbit, each read on first use and then kept.
 
     ``read(tol)`` is the space's coordinate array of the orbit at that tol,
-    through ``fetch(tol)``, read once per tol where the space's coords read
-    the tol and once in all where they do not; ``read.side(i)`` is the
-    reader of product factor i, through ``make_side(i)``; ``points`` is the
-    orbit's point list, built by ``make_points`` only when a plain callable
-    asks for it.
+    read once per tol where the space's coords read the tol and once in all
+    where they do not.  It comes from ``fetch(tol)``, except on a product:
+    there it is the pair of its sides' arrays, each read at tol/2.
+    ``read.side(i)`` is the reader of product factor i, through
+    ``make_side(i)``; ``points`` is the orbit's point list, built by
+    ``make_points`` only when a plain callable asks for it.  This class is
+    the one place a coordinate array is read.
     """
 
     def __init__(
         self, sys: "GSystem", fetch: Callable, make_side: Callable, make_points: Callable
     ):
         self._reads_tol = space_of(sys).reads_tol(sys)
-        self._fetch = fetch
+        self._fetch = self._read_sides if sys.factors else fetch
         self._make_side = make_side
         self._make_points = make_points
         self._arrays: dict = {}
@@ -297,6 +303,9 @@ class _Reader:
             self._arrays[key] = self._fetch(tol)
         return self._arrays[key]
 
+    def _read_sides(self, tol: float) -> tuple:
+        return self.side(0)(tol / 2.0), self.side(1)(tol / 2.0)
+
     def side(self, i: int) -> "_Reader":
         if i not in self._sides:
             self._sides[i] = self._make_side(i)
@@ -309,6 +318,8 @@ class _Reader:
 
 def _reader(sys: "GSystem", points: Sequence[SystemPoint]) -> _Reader:
     """read(tol) = coords(sys, points, tol); side i reads factor i of each point."""
+    for p in points:
+        _check_point(sys, p)
     space = space_of(sys)
     return _Reader(
         sys,
@@ -481,16 +492,14 @@ class Space:
     rows, and ``observables`` yields the family (module docstring).
     ``orbit_coords(sys, x, rows, tol)`` is the batch form of the action: it
     returns ``coords(sys, orbit(sys, x, rows), tol)`` bit for bit, and that
-    composition is its default and its reference.  A kind that overrides it
-    reads the orbit from the same private helper as its ``orbit``, so the
-    action is still written once.  ``reads_tol`` says whether the scalar
-    metric's value depends on the tol it is given.
+    composition is its reference.  Each kind reads the orbit from the same
+    private helper as its ``orbit``, so the action is still written once.
+    Only the readers (``_reader``, ``_orbit_reader``) call ``coords`` and
+    ``orbit_coords``.  ``reads_tol`` says whether the scalar metric's value
+    depends on the tol it is given.
     """
 
     kind = ""
-
-    def orbit_coords(self, sys: GSystem, x: SystemPoint, rows: Sequence, tol: float):
-        return self.coords(sys, self.orbit(sys, x, rows), tol)
 
     def reads_tol(self, sys: GSystem) -> bool:
         return False
@@ -859,15 +868,9 @@ class _Product(Space):
         right = space_of(b).orbit(b, q, rows)
         return [SystemPoint(sys.system_id, pair) for pair in zip(left, right)]
 
+    # coords and orbit_coords are their reader's: the sides, each at tol/2
     def orbit_coords(self, sys, x, rows, tol):
-        (a, b), (p, q) = sys.factors, x.payload
-        if rows:
-            _check_point(a, p)
-            _check_point(b, q)
-        half = tol / 2.0
-        return space_of(a).orbit_coords(a, p, rows, half), space_of(b).orbit_coords(
-            b, q, rows, half
-        )
+        return _orbit_reader(sys, x, rows)(tol)
 
     def reads_tol(self, sys):
         return any(space_of(f).reads_tol(f) for f in sys.factors)
@@ -878,10 +881,7 @@ class _Product(Space):
         return metric(a, p1, p2, half) + metric(b, q1, q2, half)
 
     def coords(self, sys, points, tol):
-        return tuple(
-            _coords(f, [p.payload[i] for p in points], tol / 2.0)
-            for i, f in enumerate(sys.factors)
-        )
+        return _reader(sys, points)(tol)
 
     def kernel(self, sys, U, V):
         (a, b), (U1, U2), (V1, V2) = sys.factors, U, V
@@ -992,22 +992,6 @@ def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> f
     return space_of(sys).metric(sys, x, y, tol)
 
 
-def _coords(sys: GSystem, points: Sequence[SystemPoint], tol: float):
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
-    for p in points:
-        _check_point(sys, p)
-    return space_of(sys).coords(sys, points, tol)
-
-
-def _orbit_coords(sys: GSystem, x: SystemPoint, rows: Sequence, tol: float):
-    """_coords of the orbit g*x for the coordinate rows g, read from x and the rows."""
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
-    _check_point(sys, x)
-    return space_of(sys).orbit_coords(sys, x, rows, tol)
-
-
 def _at(coords, key):
     """coords[key], applied through the tuples of union and product coords."""
     if isinstance(coords, tuple):
@@ -1026,11 +1010,11 @@ def pairwise_distances(
     Agrees with the scalar metric bit for bit: both paths use the same
     floating-point formulas in the same order.
     """
-    return _kernel_matrix(sys, _coords(sys, xs, tol), _coords(sys, ys, tol))
+    return _kernel_matrix(sys, _reader(sys, xs)(tol), _reader(sys, ys)(tol))
 
 
 def _kernel_matrix(sys: GSystem, U, V) -> np.ndarray:
-    """D[i, j] = kernel(U[i], V[j]) for two coordinate sets of _coords."""
+    """D[i, j] = kernel(U[i], V[j]) for two coordinate sets read by a reader."""
     return space_of(sys).kernel(sys, _at(U, np.s_[:, None]), _at(V, np.s_[None]))
 
 
@@ -1043,7 +1027,7 @@ def paired_distances(
     """Vector of metric(xs[i], ys[i], tol); the diagonal counterpart."""
     if len(xs) != len(ys):
         raise ValueError("paired_distances needs equally long sequences")
-    return space_of(sys).kernel(sys, _coords(sys, xs, tol), _coords(sys, ys, tol))
+    return space_of(sys).kernel(sys, _reader(sys, xs)(tol), _reader(sys, ys)(tol))
 
 
 # ---------------------------------------------------------------------------

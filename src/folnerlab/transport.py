@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -243,7 +242,7 @@ def orbit_cost_matrix(
     mu: EmpiricalMeasure, nu: EmpiricalMeasure, tol: float
 ) -> CostMatrix:
     """Entries d(atom_i of mu, atom_j of nu) with per-entry error <= tol."""
-    return CostMatrix(_kernel_matrix(mu.system, mu._coords(tol), nu._coords(tol)))
+    return CostMatrix(_kernel_matrix(mu.system, mu._reader()(tol), nu._reader()(tol)))
 
 
 def _bytes_key(U) -> object:
@@ -273,8 +272,8 @@ def wasserstein_empirical(
 ) -> float:
     """Exact W1 between equal-size uniform empirical measures, within tol.
 
-    It is ``_w1`` of the measures' coords at tol/n, which builds no atom of an
-    orbit piece and is exactly symmetric in (mu, nu).
+    It is ``_w1`` of the measures' coords at tol/n, read by their readers,
+    which builds no atom of an orbit piece and is exactly symmetric in (mu, nu).
     """
     if mu.system.system_id != nu.system.system_id:
         raise UnsupportedCaseError(
@@ -286,7 +285,7 @@ def wasserstein_empirical(
             f"only equal-size uniform measures are supported "
             f"({mu.count} vs {nu.count} atoms)"
         )
-    return _w1(mu.system, mu._coords(tol / mu.count), nu._coords(tol / nu.count))
+    return _w1(mu.system, mu._reader()(tol / mu.count), nu._reader()(tol / nu.count))
 
 
 def cost_matrix_to_csv(C: CostMatrix, path: str) -> None:

@@ -355,6 +355,19 @@ def test_modulus_validation():
         fl.modulus_estimate(GOLDEN, "wasserstein", fl.z_intervals(), [], sampler, [4])
 
 
+@pytest.mark.parametrize("sys_obj", [GOLDEN, fl.full_shift(), fl.interval_square()],
+                         ids=["rotation", "full_shift", "interval_square"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+def test_near_pair_sampler_needs_a_positive_finite_delta(sys_obj, bad):
+    sampler = fl.near_pair_sampler(sys_obj, 1)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        sampler(bad, 2)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        fl.modulus_estimate(
+            sys_obj, "mean_distance", fl.z_intervals(), [bad], sampler, [4]
+        )
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_modulus_needs_a_positive_pair_count(count):
     # no samples would read as a zero sup, that is as "equicontinuous"
@@ -781,14 +794,14 @@ def test_coupling_base_means_evaluate_each_row_once(
     x, y = points
     tol = 1e-6
     seen = []
-    orbit_coords = fl.analysis._orbit_coords
+    orbit_reader = fl.analysis._orbit_reader
 
-    def counting(sys_obj, p, rows, tol):
+    def counting(sys_obj, p, rows):
         if sys_obj is base:
             seen.append(len(rows))
-        return orbit_coords(sys_obj, p, rows, tol)
+        return orbit_reader(sys_obj, p, rows)
 
-    monkeypatch.setattr(fl.analysis, "_orbit_coords", counting)
+    monkeypatch.setattr(fl.analysis, "_orbit_reader", counting)
     z1, z2 = fl.pair_point(P, x, y), fl.pair_point(P, y, x)
     report = fl.coupling_bounds_check(P, [(z1, z2)], seq, indices, tol)
     monkeypatch.undo()
@@ -955,6 +968,31 @@ def test_unique_ergodicity_converts_each_measure_once(monkeypatch):
     for i, j, w, _ in report.pair_rows:
         assert repr(w) == repr(fl.wasserstein_empirical(measures[i], measures[j]))
         assert repr(w) == repr(fl.wasserstein_empirical(measures[j], measures[i]))
+
+
+def test_product_unique_ergodicity_reads_each_factor_orbit_once(monkeypatch):
+    calls = []
+    orbit_coords = fl.systems._Circle.orbit_coords
+
+    def orbit_counting(self, sys_obj, x, rows, tol):
+        calls.append(len(rows))
+        return orbit_coords(self, sys_obj, x, rows, tol)
+
+    # W1 reads the product's sides, the very arrays the rho integrals read
+    monkeypatch.setattr(fl.systems._Circle, "orbit_coords", orbit_counting)
+    P = fl.product_system(GOLDEN)
+    points = [
+        fl.pair_point(P, cpoint(0), cpoint(Fraction(1, 3))),
+        fl.pair_point(P, cpoint(Fraction(1, 5)), cpoint(Fraction(1, 5))),
+        fl.pair_point(P, cpoint(Fraction(2, 7)), cpoint(Fraction(5, 8))),
+    ]
+    report = fl.unique_ergodicity_diagnostic(P, points, fl.z_intervals(), 16)
+    assert calls == [16] * 6
+    assert [tuple(map(repr, row)) for row in report.pair_rows] == [
+        ("0", "1", "0.3333333333333333", "0.034141916039910084"),
+        ("0", "2", "0.052164208854560995", "0.014081362509543928"),
+        ("1", "2", "0.3392857142857143", "0.033293570633949145"),
+    ]  # frozen
 
 
 def test_mean_distance_trace_rejects_a_nan_tolerance():

@@ -951,6 +951,38 @@ def test_config_nan_and_infinity_are_not_json(constant, tmp_path, capsys):
     )
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("system", ["rotation", "full_shift"])
+@pytest.mark.parametrize(
+    "number, line",
+    [
+        ("1e999", "config number 1e999 is out of the float range"),
+        ("-1e999", "config number -1e999 is out of the float range"),
+        (_HUGE, "operation.params.deltas[]: expected a number within the float range"),
+    ],
+    ids=["1e999", "-1e999", "10**400"],
+)
+def test_config_numbers_beyond_the_float_range_are_rejected(
+    number, line, system, tmp_path, capsys
+):
+    # json reads the floats as inf and -inf, and the integer has no float value
+    config = {
+        "system": {"name": system},
+        "folner": {"kind": "z_interval"},
+        "indices": [4, 8],
+        "operation": {
+            "name": "modulus",
+            "params": {"kind": "wasserstein", "deltas": [0.5], "pairs_per_delta": 1},
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config).replace("0.5", number), encoding="utf-8")
+    err = expect_exit(["run", "--config", str(path)], 2, capsys)
+    assert err == f"error[ConfigError]: {line}\n"
+
+
 _RANDOM_WORDS = ["--x", '{"kind":"random","seed":1}', "--y", '{"kind":"random","seed":2}']
 
 

@@ -375,6 +375,26 @@ def test_rho_rejects_mismatched_systems():
         fl.rho_distance(mu, nu)
 
 
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda mu, nu: fl.integrate(mu, lambda p: 1.0),
+        lambda mu, nu: fl.rho_distance(mu, nu),
+        lambda mu, nu: fl.wasserstein_empirical(mu, nu),
+        lambda mu, nu: fl.measure_csv_table(mu),
+    ],
+    ids=["integrate", "rho_distance", "wasserstein_empirical", "measure_csv_table"],
+)
+def test_point_list_measure_rejects_another_systems_atoms(use):
+    rot, square = fl.rotation("golden"), fl.interval_square()
+    x = fl.circle_point(rot, Fraction(1, 3))
+    F = fl.z_intervals().subset(4)
+    foreign = fl.orbit_sample(square, fl.interval_point(square, 0.3), F)
+    nu = fl.empirical_measure(rot, x, F)
+    with pytest.raises(SystemMismatchError):
+        use(fl.EmpiricalMeasure(rot, tuple(foreign), nu.origin), nu)
+
+
 def test_rho_rejects_bad_term_count():
     _, (mu,) = rotation_measures([2])
     with pytest.raises(ValueError):
