@@ -32,7 +32,7 @@ from .systems import (
     GSystem, SystemPoint, _at, _cell, _check_point, _check_subset, _orbit_reader,
     _rows, metric, pair_point, space_of,
 )
-from .transport import _w1, wasserstein_empirical
+from .transport import _w1_many, wasserstein_empirical
 
 __all__ = [
     "PseudometricTrace",
@@ -150,10 +150,13 @@ def wasserstein_trace(
     indices: Sequence[int],
     tol: float = 1e-9,
 ) -> PseudometricTrace:
-    """values[k] = W(empirical(x, F_{n_k}), empirical(y, F_{n_k}))."""
+    """values[k] = W(empirical(x, F_{n_k}), empirical(y, F_{n_k})).
+
+    The indices' W1s are solved as one batch (``transport._w1_many``).
+    """
     indices = _check_indices(indices)
     along = _coords_along(sys, [x, y], [seq.subset(n) for n in indices], tol)
-    return PseudometricTrace("wasserstein", indices, tuple(_w1(sys, *c) for c in along))
+    return PseudometricTrace("wasserstein", indices, tuple(_w1_many(sys, along)))
 
 
 def mean_distance_trace(
@@ -266,7 +269,8 @@ def coupling_bounds_check(
     the coords that the traces read, so they equal ``wasserstein_empirical``
     and ``mean_distance_trace`` values bit for bit, all from Space.kernel; the
     scalar metric, which the kernel equals bit for bit, is their oracle in
-    the tests and in ``verify weak-star``.
+    the tests and in ``verify weak-star``.  Every W1 of every pair and index
+    is solved in one batch (``transport._w1_many``).
     """
     if sys.space_kind != "product":
         raise UnsupportedCaseError("coupling_bounds_check needs a product system")
@@ -278,7 +282,7 @@ def coupling_bounds_check(
     base = sys.factors[0]
     indices = _check_indices(indices)
     subsets = [seq.subset(n) for n in indices]
-    rows = []
+    means, w1_pairs = [], []
     for pi, (z1, z2) in enumerate(pairs):
         x1, y1 = z1.payload
         diagonal = pair_point(sys, y1, y1)
@@ -287,13 +291,16 @@ def coupling_bounds_check(
             _coords_along(sys, [z1, z2, diagonal], subsets, tol),
             _coords_along(base, [x1, y1], subsets, tol),
         ):
-            rows.append(
-                CouplingBoundsRow(
-                    pi, n, _w1(sys, Z1, Z2), _mean_distance(sys, Z1, Z2),
-                    _w1(sys, Z1, D), _mean_distance(base, X1, Y1),
-                )
+            means.append(
+                (pi, n, _mean_distance(sys, Z1, Z2), _mean_distance(base, X1, Y1))
             )
-    return CouplingBoundsReport(tuple(rows), tol)
+            w1_pairs += [(Z1, Z2), (Z1, D)]
+    w = iter(_w1_many(sys, w1_pairs))
+    rows = tuple(
+        CouplingBoundsRow(pi, n, next(w), diagonal_mean, next(w), base_mean)
+        for pi, n, diagonal_mean, base_mean in means
+    )
+    return CouplingBoundsReport(rows, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +437,15 @@ def unique_ergodicity_diagnostic(
     readers, terms, integrals = _integrated(sys, points, F, family, N)
     # W1 reads the arrays the integrals read, where the coords ignore the tol
     coords = [read(tol / F.size) for read in readers]
-    rows = []
-    max_w = 0.0
-    max_rho = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            w = _w1(sys, coords[i], coords[j])
-            rho = _rho_sum(terms, integrals[i], integrals[j])
-            max_w = max(max_w, w)
-            max_rho = max(max_rho, rho)
-            rows.append((i, j, w, rho))
-    return UniqueErgodicityReport(n, threshold, tuple(rows), max_w, max_rho)
+    ij = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    ws = _w1_many(sys, [(coords[i], coords[j]) for i, j in ij])
+    rows = tuple(
+        (i, j, w, _rho_sum(terms, integrals[i], integrals[j]))
+        for (i, j), w in zip(ij, ws)
+    )
+    max_w = max(0.0, *ws)
+    max_rho = max(0.0, *(row[3] for row in rows))
+    return UniqueErgodicityReport(n, threshold, rows, max_w, max_rho)
 
 
 @dataclass(frozen=True)

@@ -879,6 +879,29 @@ def _suite_wasserstein_axioms() -> list[_Check]:
             "disjoint union of rotations",
         )
     )
+    # the trace solves its indices as one batch, on the worker pool where
+    # there are two usable CPUs
+    indices = [4, 8, 16, 32]
+    same = True
+    golden, square = systems.rotation("golden"), systems.interval_square()
+    for sys_obj, x, y in (
+        (golden, systems.circle_point(golden, 0), systems.circle_point(golden, "1/3")),
+        (square, systems.interval_point(square, 0.3),
+         systems.interval_point(square, 0.6)),
+        (union, a, systems.union_point(union, "a", Fraction(1, 7))),
+    ):
+        trace = analysis.wasserstein_trace(sys_obj, x, y, seq, indices, tol)
+        for n, value in zip(indices, trace.values):
+            F = seq.subset(n)
+            mu, nu = (measures.empirical_measure(sys_obj, p, F) for p in (x, y))
+            same &= value.hex() == transport.wasserstein_empirical(mu, nu, tol).hex()
+    checks.append(
+        _Check(
+            "batched trace equals per-index W1 bit for bit",
+            same,
+            f"rotation, interval and union orbits at indices {indices}",
+        )
+    )
     return checks
 
 

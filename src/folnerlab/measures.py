@@ -42,8 +42,8 @@ from .errors import SystemMismatchError
 from .groups import FiniteSubset
 from .systems import (
     GSystem, Observable, ObservableFamily, SystemPoint, _BatchObservable, _Reader,
-    _check_point, _check_subset, _orbit, _orbit_reader, _reader, _rows, atom_header,
-    atom_row, point_to_dict, space_of,
+    _check_point, _check_subset, _check_tol, _orbit, _orbit_reader, _reader, _rows,
+    atom_header, atom_row, point_to_dict, space_of,
 )
 
 __all__ = [
@@ -199,12 +199,11 @@ def integrate(
 ) -> float:
     """(1/n) * sum of f over the atoms, with compensated summation.
 
-    tol must be positive, and it does not change the value: family
+    tol must be positive and finite, and it does not change the value: family
     observables are exact to float rounding, and the sum is ``math.fsum``,
     correctly rounded.
     """
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _integrals(mu._reader(), _everywhere(mu.count), [f])[0][0]
 
 
@@ -217,7 +216,8 @@ def birkhoff_average(
 ) -> float:
     """(1/|F|) * sum over g in F of f(g*x).
 
-    As in ``integrate``, tol must be positive and does not change the value.
+    As in ``integrate``, tol must be positive and finite and does not change
+    the value.
     """
     return integrate(empirical_measure(sys, x, F), f, tol)
 

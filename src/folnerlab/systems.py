@@ -173,6 +173,18 @@ def _check_point(sys: GSystem, x: SystemPoint) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tol that is not a positive finite number.
+
+    An infinite tol would read a shift's symbols too shallowly: W1 of two
+    random orbit pieces would read 0.
+    """
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def _check_group(sys: GSystem, g: GroupElement) -> None:
     if g.group_id != sys.group_id:
         raise GroupMismatchError(
@@ -296,8 +308,7 @@ class _Reader:
         self._sides: dict = {}
 
     def __call__(self, tol: float = 1.0):
-        if not tol > 0:  # NaN included
-            raise ValueError("tol must be positive")
+        _check_tol(tol)
         key = tol if self._reads_tol else None
         if key not in self._arrays:
             self._arrays[key] = self._fetch(tol)
@@ -985,8 +996,7 @@ def metric(sys: GSystem, x: SystemPoint, y: SystemPoint, tol: float = 1e-9) -> f
     Algebraic payloads are exact to float roundoff (far below any sensible
     tol); for shift systems the tol picks the symbol-comparison depth.
     """
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     _check_point(sys, x)
     _check_point(sys, y)
     return space_of(sys).metric(sys, x, y, tol)

@@ -14,8 +14,11 @@ leaves every potential's bits unchanged.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -265,6 +268,61 @@ def _w1(sys: GSystem, U, V) -> float:
     if _bytes_key(V) < _bytes_key(U):
         U, V = V, U
     return assignment_min(CostMatrix(_kernel_matrix(sys, U, V))).cost
+
+
+# (pid, executor): the pool of forked W1 workers, made on first use by the
+# process whose pid it holds
+_POOL = None
+
+
+def _pool(cores: int):
+    """This process's pool of ``cores`` forked workers, or None without fork.
+
+    The workers are forked on the first batch and inherit the loaded modules,
+    so they import nothing again (a spawned worker would import numpy and
+    the package anew); the pool is reused by every later batch.  Forking is
+    safe here: the package starts no thread, and the executor forks every
+    worker before it starts its own.  The pid guards a forked child, which
+    inherits a pool it cannot use, and makes its own.
+    """
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        context = multiprocessing.get_context("fork")
+        _POOL = os.getpid(), ProcessPoolExecutor(cores, mp_context=context)
+    return _POOL[1]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[1].shutdown()
+    _POOL = None
+
+
+def _w1_many(sys: GSystem, pairs) -> list[float]:
+    """[_w1(sys, U, V) for U, V in pairs], bit for bit, solved on every usable core.
+
+    A batch of two or more pairs, in a process that may run on two or more
+    CPUs, goes to the pool: each worker gets a pair's coordinates and builds
+    and solves its matrix with ``_w1``, and a worker's exception is raised
+    here.  Any other batch runs in this process; pinning the process to one
+    CPU (``taskset -c 0``) runs every batch here.
+    """
+    pairs = list(pairs)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cores = 1
+    pool = _pool(cores) if len(pairs) >= 2 and cores >= 2 else None
+    if pool is None:
+        return [_w1(sys, U, V) for U, V in pairs]
+    return list(pool.map(_w1, repeat(sys), *zip(*pairs)))
 
 
 def wasserstein_empirical(

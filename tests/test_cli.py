@@ -1005,3 +1005,12 @@ def test_bad_values_exit_1_with_one_error_line(argv, line, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error[ValueError]: {line}\n"
     assert captured.out == ""
+
+
+def test_trace_with_an_infinite_tol_exits_1_with_one_error_line(capsys):
+    argv = ["trace", "--system", "full_shift", *_RANDOM_WORDS, "--indices", "3,5",
+            "--tol", "inf"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error[ValueError]: tol must be positive and finite\n"
+    assert captured.out == ""

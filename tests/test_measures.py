@@ -718,3 +718,14 @@ def test_integrate_rejects_a_nan_tolerance():
     f = observable_family(sys_obj).observable(1)
     with pytest.raises(ValueError, match="tol must be positive"):
         fl.integrate(mu, f, math.nan)
+
+
+def test_integrate_rejects_an_infinite_tolerance():
+    sys_obj = fl.rotation("golden")
+    x = fl.circle_point(sys_obj, 0)
+    mu = fl.empirical_measure(sys_obj, x, fl.z_intervals().subset(4))
+    f = observable_family(sys_obj).observable(1)
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        fl.integrate(mu, f, math.inf)
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        fl.birkhoff_average(sys_obj, f, x, fl.z_intervals().subset(4), math.inf)

@@ -811,6 +811,20 @@ def test_metric_rejects_a_nan_tolerance():
         fl.metric(circle, a, b, math.nan)
 
 
+def test_metric_and_readers_reject_an_infinite_tolerance():
+    # inf passes a "tol > 0" check and would read a shift's symbols too shallowly
+    shift = fl.full_shift()
+    x, y = (fl.shift_point(shift, fl.RandomWord(seed)) for seed in (1, 2))
+    circle = fl.rotation("golden")
+    a, b = fl.circle_point(circle, 0), fl.circle_point(circle, "1/3")
+    rows = fl.systems._rows(fl.z_intervals().subset(8))
+    for sys_obj, p, q in ((shift, x, y), (circle, a, b)):
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            fl.metric(sys_obj, p, q, math.inf)
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            fl.systems._orbit_reader(sys_obj, p, rows)(math.inf)
+
+
 @pytest.mark.parametrize("value", ["1/0", " 3/0 ", math.inf, -math.inf, math.nan])
 def test_parse_rational_names_values_that_are_not_finite_rationals(value):
     with pytest.raises(ValueError) as raised:

@@ -488,6 +488,19 @@ def test_wasserstein_rejects_a_nan_tolerance():
         fl.wasserstein_empirical(mu, nu, math.nan)
 
 
+def test_wasserstein_rejects_an_infinite_tolerance():
+    # read at an infinite tol, these two random orbit pieces were 0.0 apart
+    shift = fl.full_shift()
+    F = fl.z_intervals().subset(8)
+    mu, nu = (
+        fl.empirical_measure(shift, fl.shift_point(shift, fl.RandomWord(seed)), F)
+        for seed in (1, 2)
+    )
+    assert fl.wasserstein_empirical(mu, nu, 1e-9) > 0.1
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        fl.wasserstein_empirical(mu, nu, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # the loop against a frozen reference copy
 
