@@ -154,9 +154,25 @@ def wasserstein_trace(
 
     The indices' W1s are solved as one batch (``transport._w1_many``).
     """
+    return _wasserstein_traces(sys, [(x, y)], seq, indices, tol)[0]
+
+
+def _wasserstein_traces(
+    sys: GSystem,
+    xys: Sequence[tuple[SystemPoint, SystemPoint]],
+    seq: FolnerSequence,
+    indices: Sequence[int],
+    tol: float,
+) -> list[PseudometricTrace]:
+    """wasserstein_trace of every pair (x, y) in xys, as one batch of W1s."""
     indices = _check_indices(indices)
-    along = _coords_along(sys, [x, y], [seq.subset(n) for n in indices], tol)
-    return PseudometricTrace("wasserstein", indices, tuple(_w1_many(sys, along)))
+    subsets = [seq.subset(n) for n in indices]
+    sides = [side for x, y in xys for side in _coords_along(sys, [x, y], subsets, tol)]
+    w = iter(_w1_many(sys, sides))
+    return [
+        PseudometricTrace("wasserstein", indices, tuple(next(w) for _ in indices))
+        for _ in xys
+    ]
 
 
 def mean_distance_trace(
@@ -360,13 +376,19 @@ def modulus_estimate(
         raise ValueError("delta grid must be nonempty")
     if pairs_per_delta < 1:
         raise ValueError("pairs_per_delta must be positive")
-    trace_fn = wasserstein_trace if kind == "wasserstein" else mean_distance_trace
+    # every delta's pairs are sampled first, so that the W1s of all their
+    # traces are solved as one batch
+    samples = [list(pair_sampler(delta, pairs_per_delta)) for delta in deltas]
+    xys = [xy for sample in samples for xy in sample]
+    if kind == "wasserstein":
+        traces = iter(_wasserstein_traces(sys, xys, seq, indices, tol))
+    else:
+        traces = (mean_distance_trace(sys, x, y, seq, indices, tol) for x, y in xys)
     sup_values = []
     pooled_sup = 0.0
-    for delta in deltas:
-        for x, y in pair_sampler(delta, pairs_per_delta):
-            trace = trace_fn(sys, x, y, seq, indices, tol)
-            pooled_sup = max(pooled_sup, trace.limsup_estimate)
+    for sample in samples:
+        for _ in sample:
+            pooled_sup = max(pooled_sup, next(traces).limsup_estimate)
         sup_values.append(pooled_sup)
     return ModulusEstimate(kind, tuple(deltas), tuple(sup_values), pairs_per_delta)
 

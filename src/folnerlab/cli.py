@@ -879,9 +879,9 @@ def _suite_wasserstein_axioms() -> list[_Check]:
             "disjoint union of rotations",
         )
     )
-    # the trace solves its indices as one batch, on the worker pool where
-    # there are two usable CPUs
-    indices = [4, 8, 16, 32]
+    # the trace solves its indices as one batch, large enough for the worker
+    # pool where there are two usable CPUs
+    indices = [32, 40, 48]
     same = True
     golden, square = systems.rotation("golden"), systems.interval_square()
     for sys_obj, x, y in (

@@ -19,6 +19,8 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
+from sys import version_info
 
 import numpy as np
 
@@ -270,59 +272,131 @@ def _w1(sys: GSystem, U, V) -> float:
     return assignment_min(CostMatrix(_kernel_matrix(sys, U, V))).cost
 
 
-# (pid, executor): the pool of forked W1 workers, made on first use by the
-# process whose pid it holds
+# A solve on n atoms takes up to n^3 steps, and a batch ends no sooner than
+# its largest solve.  So a batch goes to the pool when its other solves add up
+# to at least this many steps: below that, the workers' round trips cost more
+# than the other cores save (README's Testing section has timings on both
+# sides).
+_POOL_MIN_STEPS = 40_000
+
+# (pid, workers, executor): the pool of forked W1 workers, made by the process
+# whose pid it holds
 _POOL = None
 
+# the CPU quota of the cgroup mounted at /sys/fs/cgroup (a container's own):
+# cgroup v2's "quota period", or v1's quota and period files
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
 
-def _pool(cores: int):
-    """This process's pool of ``cores`` forked workers, or None without fork.
 
-    The workers are forked on the first batch and inherit the loaded modules,
-    so they import nothing again (a spawned worker would import numpy and
-    the package anew); the pool is reused by every later batch.  Forking is
-    safe here: the package starts no thread, and the executor forks every
-    worker before it starts its own.  The pid guards a forked child, which
-    inherits a pool it cannot use, and makes its own.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, capped by its cgroup's CPU quota."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            words = " ".join(Path(path).read_text("ascii") for path in paths).split()
+        except OSError:
+            continue
+        quota, period = (words + ["", ""])[:2]  # "max" and "-1" mean no quota
+        if quota.isdigit() and period.isdigit() and int(period):
+            return max(1, min(cores, int(quota) // int(period)))
+        break
+    return cores
+
+
+def _atoms(U) -> int:
+    """The number of atoms in a coordinate set (tuples hold union and product coords)."""
+    while isinstance(U, tuple):
+        U = U[0]
+    return len(U)
+
+
+def _ignore_sigint() -> None:
+    # Ctrl-C interrupts the caller, which stops waiting; a worker that took the
+    # signal too would die with a traceback and break the pool
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _pool(workers: int):
+    """This process's pool of at least ``workers`` forked workers, or None.
+
+    The workers are forked on the pool's first batch and inherit the loaded
+    modules, so they import nothing again (a spawned worker would import
+    numpy and the package anew).  Forking is safe only in a process with no
+    other thread: from Python 3.11 on the executor forks every worker
+    before it starts its own thread, and the package starts none.  So there
+    is no pool in a process that runs another thread, on Python 3.10, which
+    forks workers while the executor's thread runs, without ``fork``, or in
+    a daemonic process, which may not have children.  A pool is reused by
+    every later batch it is large enough for; a larger batch replaces it.
+    The pid guards a forked child, which inherits a pool it cannot use.
     """
     global _POOL
-    if _POOL is None or _POOL[0] != os.getpid():
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if _POOL is not None and _POOL[0] == os.getpid() and _POOL[1] >= workers:
+        return _POOL[2]
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return None
-        context = multiprocessing.get_context("fork")
-        _POOL = os.getpid(), ProcessPoolExecutor(cores, mp_context=context)
-    return _POOL[1]
+    _shutdown_pool()  # a smaller pool's thread ends here
+    if (
+        version_info < (3, 11)
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return None
+    context = multiprocessing.get_context("fork")
+    executor = ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_ignore_sigint
+    )
+    _POOL = os.getpid(), workers, executor
+    return executor
 
 
 @atexit.register
 def _shutdown_pool() -> None:
     global _POOL
     if _POOL is not None and _POOL[0] == os.getpid():
-        _POOL[1].shutdown()
+        _POOL[2].shutdown()
     _POOL = None
 
 
 def _w1_many(sys: GSystem, pairs) -> list[float]:
-    """[_w1(sys, U, V) for U, V in pairs], bit for bit, solved on every usable core.
+    """[_w1(sys, U, V) for U, V in pairs], bit for bit, solved on the usable cores.
 
-    A batch of two or more pairs, in a process that may run on two or more
-    CPUs, goes to the pool: each worker gets a pair's coordinates and builds
-    and solves its matrix with ``_w1``, and a worker's exception is raised
-    here.  Any other batch runs in this process; pinning the process to one
+    A batch of two or more pairs whose solves, all but the largest, take at
+    least ``_POOL_MIN_STEPS`` steps, in a process that may use two or more
+    CPUs, goes to the pool, with one worker per pair up to the CPU count.
+    Each worker gets chunks of pairs' coordinates and builds and solves
+    their matrices with ``_w1``, and a worker's exception is raised here.  If a worker dies (killed, say), the
+    pool is dropped and the batch solved here; the next batch makes a new
+    pool.  Any other batch runs in this process; pinning the process to one
     CPU (``taskset -c 0``) runs every batch here.
     """
     pairs = list(pairs)
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cores = 1
-    pool = _pool(cores) if len(pairs) >= 2 and cores >= 2 else None
-    if pool is None:
-        return [_w1(sys, U, V) for U, V in pairs]
-    return list(pool.map(_w1, repeat(sys), *zip(*pairs)))
+    steps = [_atoms(U) ** 3 for U, _ in pairs]
+    workers = 1
+    if len(pairs) >= 2 and sum(steps) - max(steps) >= _POOL_MIN_STEPS:
+        workers = min(_usable_cpus(), len(pairs))
+    pool = _pool(workers) if workers >= 2 else None
+    if pool is not None:
+        from concurrent.futures import BrokenExecutor
+
+        # four chunks a worker: few round trips, yet unequal solves even out
+        chunk = -(-len(pairs) // (4 * workers))
+        try:
+            return list(pool.map(_w1, repeat(sys), *zip(*pairs), chunksize=chunk))
+        except BrokenExecutor:
+            _shutdown_pool()
+    return [_w1(sys, U, V) for U, V in pairs]
 
 
 def wasserstein_empirical(

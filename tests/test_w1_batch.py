@@ -4,8 +4,11 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +28,16 @@ needs_two_cpus = pytest.mark.skipif(CORES < 2, reason="the pool needs two usable
 
 def hexes(values):
     return [float.hex(v) for v in values]
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Send every batch of two or more pairs to the pool, however small."""
+    monkeypatch.setattr(transport, "_POOL_MIN_STEPS", 0)
+
+
+def worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
 
 
 def orbit_pairs(sys_obj, points, seq, indices, tol=1e-9):
@@ -76,7 +89,7 @@ def _batch_cases():
 @pytest.mark.parametrize("name, sys_obj, points, seq, indices, tol",
                          [pytest.param(*case, id=case[0]) for case in _batch_cases()])
 def test_batch_equals_the_serial_path_bit_for_bit(name, sys_obj, points, seq, indices,
-                                                   tol):
+                                                   tol, pool_always):
     pairs = orbit_pairs(sys_obj, points, seq, indices, tol)
     serial = [transport._w1(sys_obj, U, V) for U, V in pairs]
     assert hexes(transport._w1_many(sys_obj, pairs)) == hexes(serial)
@@ -86,7 +99,7 @@ def test_batch_equals_the_serial_path_bit_for_bit(name, sys_obj, points, seq, in
         assert transport._POOL is not None and transport._POOL[0] == os.getpid()
 
 
-def test_batch_keeps_the_side_order_of_orientation_sensitive_pairs():
+def test_batch_keeps_the_side_order_of_orientation_sensitive_pairs(pool_always):
     # some interval orbit pairs have a float optimum that moves in its last
     # bits when the cost matrix is transposed; the workers order the sides too
     sq = fl.interval_square()
@@ -108,8 +121,8 @@ def test_batch_keeps_the_side_order_of_orientation_sensitive_pairs():
     assert hexes(transport._w1_many(sq, pairs)) == hexes(serial)
 
 
-def test_single_pairs_and_one_cpu_never_reach_the_pool(monkeypatch):
-    def no_pool(cores):
+def test_single_pairs_and_one_cpu_never_reach_the_pool(monkeypatch, pool_always):
+    def no_pool(workers):
         raise AssertionError("the batch went to the pool")
 
     monkeypatch.setattr(transport, "_pool", no_pool)
@@ -123,7 +136,7 @@ def test_single_pairs_and_one_cpu_never_reach_the_pool(monkeypatch):
     assert hexes(transport._w1_many(GOLDEN, pairs)) == hexes(serial)
 
 
-def test_a_workers_error_reaches_the_caller_unchanged():
+def test_a_workers_error_reaches_the_caller_unchanged(pool_always):
     rows = _rows(fl.z_intervals().subset(6))
     U = _orbit_reader(GOLDEN, fl.circle_point(GOLDEN, 0), rows)(1e-9)
     V_short = U[:4]
@@ -137,15 +150,172 @@ def test_a_workers_error_reaches_the_caller_unchanged():
         assert type(batched.value.__cause__).__name__ == "_RemoteTraceback"
 
 
+def test_small_batches_stay_here_and_large_ones_reach_the_pool(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transport, "_pool", calls.append)  # None: solved here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    x, y = fl.circle_point(GOLDEN, 0), fl.circle_point(GOLDEN, Fraction(1, 3))
+    # one n=64 solve and three small ones: the pool could take 37,376 steps
+    small = _coords_along(GOLDEN, [x, y], [fl.z_intervals().subset(n)
+                                           for n in (8, 16, 32, 64)], 1e-9)
+    assert hexes(transport._w1_many(GOLDEN, small)) == hexes(
+        transport._w1(GOLDEN, U, V) for U, V in small)
+    assert calls == []
+    # two n=40 solves: 64,000 steps besides the largest
+    large = small[:1] + _coords_along(GOLDEN, [y, x], [fl.z_intervals().subset(40)] * 2,
+                                      1e-9)
+    transport._w1_many(GOLDEN, large[1:])
+    assert calls == [2]  # one worker per pair, though four CPUs are usable
+    transport._w1_many(GOLDEN, large)
+    assert calls == [2, 3]
+
+
 @needs_two_cpus
-def test_batches_reuse_the_same_workers():
+def test_batches_reuse_the_same_workers(pool_always):
     pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(3)],
                         fl.z_intervals(), [8, 16])
     transport._w1_many(GOLDEN, pairs)
-    first = sorted(p.pid for p in multiprocessing.active_children())
+    first = worker_pids()
     transport._w1_many(GOLDEN, pairs)
-    assert len(first) == CORES
-    assert sorted(p.pid for p in multiprocessing.active_children()) == first
+    assert len(first) == transport._POOL[1] >= min(CORES, len(pairs))
+    assert worker_pids() == first
+
+
+def test_the_pool_grows_to_the_largest_batch(pool_always, monkeypatch):
+    transport._shutdown_pool()
+    monkeypatch.setattr(transport, "_usable_cpus", lambda: 3)
+    pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(3)],
+                        fl.z_intervals(), [8])
+    serial = hexes(transport._w1(GOLDEN, U, V) for U, V in pairs)
+    assert hexes(transport._w1_many(GOLDEN, pairs[:2])) == serial[:2]
+    assert len(worker_pids()) == 2
+    assert hexes(transport._w1_many(GOLDEN, pairs)) == serial
+    three = worker_pids()
+    assert len(three) == 3
+    transport._w1_many(GOLDEN, pairs[:2])  # a smaller batch keeps the larger pool
+    assert worker_pids() == three
+
+
+@needs_two_cpus
+def test_a_killed_worker_costs_one_batch_its_pool(pool_always):
+    pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(3)],
+                        fl.z_intervals(), [8, 16])
+    serial = hexes(transport._w1(GOLDEN, U, V) for U, V in pairs)
+    transport._w1_many(GOLDEN, pairs)
+    before = worker_pids()
+    os.kill(before[0], signal.SIGKILL)
+    time.sleep(0.2)
+    assert hexes(transport._w1_many(GOLDEN, pairs)) == serial  # solved here
+    assert transport._POOL is None
+    assert hexes(transport._w1_many(GOLDEN, pairs)) == serial  # on a new pool
+    assert transport._POOL is not None
+    assert set(worker_pids()).isdisjoint(before)
+
+
+@needs_two_cpus
+def test_ctrl_c_leaves_the_workers_running(pool_always, capfd):
+    # Ctrl-C signals the whole foreground process group, workers included
+    pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(3)],
+                        fl.z_intervals(), [8, 16])
+    serial = hexes(transport._w1(GOLDEN, U, V) for U, V in pairs)
+    transport._w1_many(GOLDEN, pairs)
+    before = worker_pids()
+    for pid in before:
+        os.kill(pid, signal.SIGINT)
+    time.sleep(0.2)
+    assert hexes(transport._w1_many(GOLDEN, pairs)) == serial
+    assert worker_pids() == before
+    assert capfd.readouterr().err == ""  # no worker printed a traceback
+
+
+def _trace_in_daemon(indices):
+    x, y = fl.circle_point(GOLDEN, 0), fl.circle_point(GOLDEN, Fraction(1, 3))
+    return hexes(fl.wasserstein_trace(GOLDEN, x, y, fl.z_intervals(), indices).values)
+
+
+@needs_two_cpus
+def test_a_daemonic_process_solves_its_batches_itself(pool_always):
+    # a multiprocessing.Pool worker may not have children of its own
+    indices = [4, 8, 16]
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        assert outer.map(_trace_in_daemon, [indices]) == [_trace_in_daemon(indices)]
+
+
+def test_no_pool_before_python_3_11(pool_always, monkeypatch):
+    # 3.10's executor forks its workers while its own thread runs
+    transport._shutdown_pool()
+    monkeypatch.setattr(transport, "version_info", (3, 10, 14))
+    pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(3)],
+                        fl.z_intervals(), [8])
+    assert hexes(transport._w1_many(GOLDEN, pairs)) == hexes(
+        transport._w1(GOLDEN, U, V) for U, V in pairs)
+    assert transport._POOL is None
+
+
+def test_no_pool_beside_another_thread(pool_always):
+    # a forked child holds only the forking thread, so a lock that another
+    # thread held at the fork stays locked in the child
+    import threading
+
+    transport._shutdown_pool()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4))
+                                     for k in range(3)], fl.z_intervals(), [8])
+        assert hexes(transport._w1_many(GOLDEN, pairs)) == hexes(
+            transport._w1(GOLDEN, U, V) for U, V in pairs)
+        assert transport._POOL is None
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "max 100000\n"}, 4),
+    ({"cpu.max": "300000 100000\n"}, 3),
+    ({"cpu.max": "150000 100000\n"}, 1),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "800000 100000\n"}, 4),
+    ({"quota": "200000\n", "period": "100000\n"}, 2),
+    ({"quota": "-1\n", "period": "100000\n"}, 4),
+    ({}, 4),
+])
+def test_usable_cpus_keep_to_the_cgroup_quota(files, cpus, tmp_path, monkeypatch):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(transport, "_CPU_QUOTA_FILES", (
+        (str(tmp_path / "cpu.max"),),
+        (str(tmp_path / "quota"), str(tmp_path / "period")),
+    ))
+    assert transport._usable_cpus() == cpus
+
+
+def test_modulus_estimate_solves_every_trace_in_one_batch(monkeypatch):
+    batches = []
+
+    def counted(sys_obj, pairs):
+        batches.append(len(pairs))
+        return transport._w1_many(sys_obj, pairs)
+
+    indices, deltas = [4, 8, 16], [0.01, 0.1]
+    expected = fl.analysis.near_pair_sampler(GOLDEN, 3)
+    sups, pooled = [], 0.0
+    for delta in deltas:
+        for x, y in expected(delta, 5):
+            trace = fl.wasserstein_trace(GOLDEN, x, y, fl.z_intervals(), indices)
+            pooled = max(pooled, trace.limsup_estimate)
+        sups.append(pooled)
+    monkeypatch.setattr(fl.analysis, "_w1_many", counted)
+    estimate = fl.analysis.modulus_estimate(
+        GOLDEN, "wasserstein", fl.z_intervals(), deltas,
+        fl.analysis.near_pair_sampler(GOLDEN, 3), indices, pairs_per_delta=5,
+    )
+    assert batches == [2 * 5 * 3]
+    assert hexes(estimate.sup_values) == hexes(sups)
 
 
 def _batch_in_child(pairs, out):
@@ -156,7 +326,7 @@ def _batch_in_child(pairs, out):
 
 
 @needs_two_cpus
-def test_a_forked_child_makes_its_own_pool():
+def test_a_forked_child_makes_its_own_pool(pool_always):
     # the inherited pool belongs to the parent: a child that used it would wait
     # for results no worker of its own sends
     pairs = orbit_pairs(GOLDEN, [fl.circle_point(GOLDEN, Fraction(k, 4)) for k in range(2)],
@@ -235,7 +405,8 @@ def _run_report(config, out, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(_REPORTS))
-def test_reports_are_byte_identical_on_one_cpu(name, tmp_path, capsys, monkeypatch):
+def test_reports_are_byte_identical_on_one_cpu(name, tmp_path, capsys, monkeypatch,
+                                              pool_always):
     pooled = _run_report(_REPORTS[name], tmp_path / "pooled", capsys)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = _run_report(_REPORTS[name], tmp_path / "serial", capsys)
@@ -247,14 +418,24 @@ def test_reports_are_byte_identical_on_one_cpu(name, tmp_path, capsys, monkeypat
 # no process outlives the run
 
 
+@needs_two_cpus
 def test_no_process_outlives_a_coupling_run(tmp_path):
-    config = _REPORTS["coupling_bounds"] | {"output": {"csv": "r.csv"}}
+    # n=40: each pair's two solves are large enough for the pool
+    config = _REPORTS["coupling_bounds"] | {"indices": [40], "output": {"csv": "r.csv"}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(fl.__file__).resolve().parent.parent)
+    run_cli = textwrap.dedent("""
+        import sys
+        from folnerlab import transport
+        from folnerlab.cli import main
+        code = main(sys.argv[1:])
+        assert transport._POOL is not None, "the run made no pool"
+        sys.exit(code)
+    """)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "folnerlab.cli", "run", "--config", str(path),
+        [sys.executable, "-c", run_cli, "run", "--config", str(path),
          "--out", str(tmp_path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         start_new_session=True,
